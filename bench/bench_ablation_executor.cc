@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation: wave-barrier interpreter vs the persistent dependency-counting
- * executor.
+ * Ablation: the wave-barrier interpreter (Algorithm 1, bench_util.h) vs
+ * the dependency-counting engine behind Executor::Run.
  *
  * The adversarial shape for wave barriers is a deep, narrow circuit: every
  * wave is tiny, so the wave path pays thread spawn/join per level and
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "backend/executor.h"
+#include "bench_util.h"
 #include "pasm/assembler.h"
 #include "tfhe/gates.h"
 
@@ -58,7 +59,7 @@ Rates Measure(const pasm::Program& p, Evaluator& eval,
     const double gates = static_cast<double>(p.NumGates()) * reps;
     auto t0 = Clock::now();
     for (int32_t r = 0; r < reps; ++r)
-        (void)backend::RunProgramThreaded(p, eval, in, threads);
+        (void)bench::RunProgramThreaded(p, eval, in, threads);
     const double wave_s = SecondsSince(t0);
     t0 = Clock::now();
     for (int32_t r = 0; r < reps; ++r)

@@ -39,16 +39,12 @@ void ExerciseLocalExecutor(const char* name, const pasm::Program& p,
     std::vector<bool> in(p.NumInputs());
     for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
 
-    backend::ExecOptions wave;
-    wave.num_threads = 8;
-    wave.mode = backend::ExecMode::kWaveBarrier;
     backend::ExecOptions dep;
     dep.num_threads = 8;
-    dep.mode = backend::ExecMode::kDependencyCounting;
     dep.executor = &executor;
 
     auto t0 = Clock::now();
-    const auto wave_out = backend::Execute(p, eval, in, wave);
+    const auto wave_out = bench::RunProgramThreaded(p, eval, in, 8);
     const double wave_s = std::chrono::duration<double>(Clock::now() - t0)
                               .count();
     t0 = Clock::now();

@@ -22,9 +22,8 @@
  *
  * Safety of slot reuse is the plan's contract, enforced at pasm load time
  * (pasm/program.cc): values sharing a slot have disjoint live intervals,
- * dependency-counting executors add anti-dependency edges
- * (Program::BuildGateDependencies(plan)), and the wave-barrier path only
- * honors plans flagged level-safe.
+ * and the engine adds anti-dependency edges
+ * (Program::BuildGateDependencies(plan)).
  */
 #ifndef PYTFHE_BACKEND_ARENA_H
 #define PYTFHE_BACKEND_ARENA_H

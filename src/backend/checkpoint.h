@@ -13,8 +13,8 @@
  *
  * Two cut kinds share one wire record:
  *  - kLevel: every gate at wave level < boundary is done, none at or
- *    beyond it has started. Produced by the serving executor's quiesce
- *    barrier; valid to resume on any backend when the program carries no
+ *    beyond it has started. Produced by the engine's quiesce barrier
+ *    (engine.h); valid to resume on any backend when the program carries no
  *    plan or a level-safe plan (all data and anti-dependency edges cross
  *    the cut forward).
  *  - kOrdinal: every instruction at index <= boundary is done. Produced
@@ -104,9 +104,8 @@ struct DecodedCheckpoint {
 };
 
 /**
- * Execution state reconstructed from a cut: enough to restart any
- * dispatcher (sequential skip-loop, dependency-counting executor,
- * serving pickers) past the done set.
+ * Execution state reconstructed from a cut: enough to restart the
+ * sequential skip-loop or the engine past the done set.
  */
 struct ResumeState {
     std::vector<uint8_t> done;     ///< Per gate ordinal: already executed.
@@ -146,6 +145,15 @@ struct CheckpointRunStats {
     uint64_t resumes = 0;            ///< Runs started from a checkpoint.
     uint64_t gates_resumed = 0;      ///< Gates skipped thanks to resume.
     uint64_t corrupt_discarded = 0;  ///< Records rejected at decode time.
+
+    /** Adds `d`'s counts; a record size in `d` becomes the last one. */
+    void Add(const CheckpointRunStats& d) {
+        checkpoints_taken += d.checkpoints_taken;
+        if (d.checkpoint_bytes != 0) checkpoint_bytes = d.checkpoint_bytes;
+        resumes += d.resumes;
+        gates_resumed += d.gates_resumed;
+        corrupt_discarded += d.corrupt_discarded;
+    }
 };
 
 namespace ckpt_detail {
@@ -327,6 +335,38 @@ std::optional<DecodedCheckpoint<C>> DecodeCheckpoint(
     }
     if (pos != body->size()) return fail("trailing bytes after checkpoint");
     return out;
+}
+
+/**
+ * Loads the record in `store` for a run of `program`: decodes (and thereby
+ * CRC-verifies) it and checks the cut kind against the program's plan.
+ * Returns nullopt when there is nothing to resume from. A record that fails
+ * verification (or whose ciphertext type has no codec) is cleared from the
+ * store and counted in `stats->corrupt_discarded`: a bad checkpoint can
+ * cost time, never correctness. A usable one is counted in
+ * `stats->resumes` and `stats->gates_resumed`. Every executor that
+ * resumes goes through here.
+ */
+template <typename C>
+std::optional<DecodedCheckpoint<C>> LoadCheckpoint(
+    const pasm::Program& program, JobCheckpoint* store,
+    CheckpointRunStats* stats) {
+    if (store == nullptr || store->Empty()) return std::nullopt;
+    std::optional<DecodedCheckpoint<C>> decoded;
+    if constexpr (CiphertextCodec<C>::kSupported)
+        decoded = DecodeCheckpoint<C>(
+            store->record, ProgramFingerprint(program),
+            program.FirstGateIndex() + program.NumGates());
+    if (decoded && !CutValidForProgram(decoded->cut, program))
+        decoded.reset();
+    if (!decoded) {
+        store->Clear();
+        if (stats) ++stats->corrupt_discarded;
+    } else if (stats) {
+        ++stats->resumes;
+        stats->gates_resumed += decoded->gates_completed;
+    }
+    return decoded;
 }
 
 /** Writes a decoded checkpoint's values back into a freshly Reset plane. */

@@ -3,19 +3,15 @@
  * backend::Execute — the single documented entry point for functional
  * program execution.
  *
- * The repo grew three functional paths (RunProgram, RunProgramThreaded,
- * Executor::Run) with three call conventions. Execute unifies them behind
- * one options struct; interpreter.h documents exactly which path each
- * option combination selects. The underlying entry points remain public
- * (tests and ablation benchmarks compare them directly), but application
- * code should go through Execute.
+ * There are two paths: the sequential interpreter (interpreter.h), which
+ * is the reference oracle, and the engine (engine.h) through
+ * Executor::Run. Execute picks one from its options; interpreter.h holds
+ * the path table. Tests and benchmarks may call either entry point
+ * directly, but application code should go through Execute.
  */
 #ifndef PYTFHE_BACKEND_EXECUTE_H
 #define PYTFHE_BACKEND_EXECUTE_H
 
-#include <optional>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "backend/executor.h"
@@ -23,56 +19,39 @@
 
 namespace pytfhe::backend {
 
-/** Which functional execution substrate Execute dispatches to. */
-enum class ExecMode {
-    /** num_threads == 1 -> sequential, else dependency counting. */
-    kAuto,
-    /** In-order sequential interpretation (RunProgram). */
-    kSequential,
-    /** Per-wave barrier threads (RunProgramThreaded); legacy reference. */
-    kWaveBarrier,
-    /** Persistent-pool dependency counting (Executor::Run). */
-    kDependencyCounting,
-};
-
 /**
  * Options for one Execute call. `executor` optionally names a caller-owned
  * persistent Executor whose worker pool the run reuses (recommended for
- * repeated runs — a null executor makes the dependency-counting path spin
- * up and tear down a transient pool per call). `control` carries the
- * cooperative deadline/cancel token; the wave-barrier path predates
- * RunControl and rejects an engaged control with std::invalid_argument.
- * `fault` optionally names a FaultInjector (fault.h) plus the (job,
- * attempt) identity of this execution; every path honors it, and a
- * disengaged hook costs one branch per gate.
+ * repeated runs — a null executor makes a threaded run spin up and tear
+ * down a transient pool per call). `control` carries the cooperative
+ * deadline/cancel token. `fault` optionally names a FaultInjector
+ * (fault.h) plus the (job, attempt) identity of this execution; every path
+ * honors it, and a disengaged hook costs one branch per gate.
  */
 struct ExecOptions {
     int32_t num_threads = 1;
-    ExecMode mode = ExecMode::kAuto;
     Executor* executor = nullptr;
     RunControl control;
     FaultHook fault;
     /**
      * Maximum simultaneously ready gates fused into one batched bootstrap
-     * kernel call (executor.h; evaluators opt in via ApplyBatch — others
-     * run the batch gate-by-gate). 1 disables batching. batch_size > 1
-     * routes even single-threaded runs through the dependency-counting
-     * executor, since only its ready set exposes batchable groups; outputs
-     * stay bit-identical to the sequential path. The wave-barrier legacy
-     * path ignores batching and rejects batch_size > 1.
+     * kernel call (engine.h; evaluators opt in via ApplyBatch — others
+     * claim one gate at a time). 1 disables batching. batch_size > 1
+     * runs on the engine even single-threaded, since only its ready set
+     * exposes batchable groups; outputs stay bit-identical to the
+     * sequential path.
      */
     int32_t batch_size = 1;
     /**
      * Checkpoint/resume (checkpoint.h). With a non-null caller-owned
      * `checkpoint_store`, a run that finds a valid record there restores
-     * the snapshot and executes only the gates past the cut — on every
-     * path; a corrupt or mismatched record is cleared, counted, and the
-     * run re-executes from scratch. Capture (`checkpoint` policy) runs on
-     * the sequential path, which owns an ordinal quiesce point by
-     * construction; threaded paths consume checkpoints but do not take
-     * them — the serving executor is the concurrent producer. The store
-     * is left intact after a successful run; clearing it is the caller's
-     * retry-loop decision.
+     * the snapshot and executes only the gates past the cut; a corrupt or
+     * mismatched record is cleared, counted, and the run re-executes from
+     * scratch. With the `checkpoint` policy enabled, every path captures:
+     * the sequential path writes ordinal cuts, the engine writes level
+     * cuts when the program's plan admits them (no plan, or a level-safe
+     * one). The store is left intact after a successful run; clearing it
+     * is the caller's retry-loop decision.
      */
     CheckpointPolicy checkpoint;
     JobCheckpoint* checkpoint_store = nullptr;
@@ -81,84 +60,29 @@ struct ExecOptions {
 
 /**
  * Executes `program` over `inputs` with `eval`, dispatching per `options`
- * (see ExecMode and the path table in interpreter.h). All paths produce
- * bit-identical outputs. Throws std::invalid_argument on malformed
- * arguments, CancelledError / DeadlineExceededError on control aborts,
- * and GateExecutionError when a gate evaluation throws (every path fails
- * the run cleanly — worker threads are joined, pools stay reusable).
+ * (see the path table in interpreter.h). Every path produces bit-identical
+ * outputs. Throws std::invalid_argument on malformed arguments,
+ * CancelledError / DeadlineExceededError on control aborts, and
+ * GateExecutionError when a gate evaluation throws (the run fails
+ * cleanly — workers are joined, pools stay reusable).
  */
 template <typename Evaluator>
 std::vector<typename Evaluator::Ciphertext> Execute(
     const pasm::Program& program, Evaluator& eval,
     const std::vector<typename Evaluator::Ciphertext>& inputs,
     const ExecOptions& options = {}) {
-    using C = typename Evaluator::Ciphertext;
-    if (options.batch_size < 1)
-        throw std::invalid_argument("Execute: batch_size must be >= 1, got " +
-                                    std::to_string(options.batch_size));
-    const bool sequential =
-        options.mode == ExecMode::kSequential ||
-        (options.mode == ExecMode::kAuto && options.num_threads == 1 &&
-         options.batch_size <= 1);
-    if (sequential) {
-        if (options.checkpoint_store != nullptr)
-            return RunProgramCheckpointed(
-                program, eval, inputs, options.checkpoint,
-                options.checkpoint_store, options.control, options.fault,
-                options.checkpoint_stats);
-        return RunProgram(program, eval, inputs, options.control,
-                          options.fault);
-    }
-    // Threaded paths consume a stored checkpoint (decode + verify here,
-    // restore inside the dispatcher) but never capture one.
-    std::optional<DecodedCheckpoint<C>> resume;
-    if (options.checkpoint_store != nullptr &&
-        !options.checkpoint_store->Empty()) {
-        if constexpr (CiphertextCodec<C>::kSupported) {
-            std::string error;
-            resume = DecodeCheckpoint<C>(
-                options.checkpoint_store->record, ProgramFingerprint(program),
-                program.FirstGateIndex() + program.NumGates(), &error);
-            if (resume && !CutValidForProgram(resume->cut, program))
-                resume.reset();
-            if (resume) {
-                if (options.checkpoint_stats) {
-                    ++options.checkpoint_stats->resumes;
-                    options.checkpoint_stats->gates_resumed +=
-                        resume->gates_completed;
-                }
-            } else {
-                options.checkpoint_store->Clear();
-                if (options.checkpoint_stats)
-                    ++options.checkpoint_stats->corrupt_discarded;
-            }
-        } else {
-            options.checkpoint_store->Clear();
-        }
-    }
-    const DecodedCheckpoint<C>* resume_ptr = resume ? &*resume : nullptr;
-    if (options.mode == ExecMode::kWaveBarrier) {
-        if (options.control.Engaged())
-            throw std::invalid_argument(
-                "Execute: the wave-barrier path does not support "
-                "RunControl; use kDependencyCounting or kSequential");
-        if (options.batch_size > 1)
-            throw std::invalid_argument(
-                "Execute: the wave-barrier path does not support "
-                "batching; use kDependencyCounting");
-        return RunProgramThreaded(program, eval, inputs,
-                                  options.num_threads, options.fault,
-                                  resume_ptr);
-    }
-    if (options.executor != nullptr)
-        return options.executor->Run(program, eval, inputs,
-                                     options.num_threads, options.control,
-                                     options.fault, options.batch_size,
-                                     resume_ptr);
+    if (options.num_threads == 1 && options.batch_size == 1)
+        return RunProgramCheckpointed(
+            program, eval, inputs, options.checkpoint,
+            options.checkpoint_store, options.control, options.fault,
+            options.checkpoint_stats);
     Executor transient;
-    return transient.Run(program, eval, inputs, options.num_threads,
-                         options.control, options.fault, options.batch_size,
-                         resume_ptr);
+    Executor& executor =
+        options.executor != nullptr ? *options.executor : transient;
+    return executor.Run(program, eval, inputs, options.num_threads,
+                        options.control, options.fault, options.batch_size,
+                        options.checkpoint, options.checkpoint_store,
+                        options.checkpoint_stats);
 }
 
 }  // namespace pytfhe::backend

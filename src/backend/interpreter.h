@@ -1,44 +1,32 @@
 /**
  * @file
- * Program interpreters: run a PyTFHE binary against any evaluator.
+ * The sequential interpreters: run a PyTFHE binary against any evaluator
+ * in instruction order (indices are topological by construction).
  *
- * RunProgram executes single-threaded in instruction order (indices are
- * topological by construction). RunProgramThreaded executes the BFS
- * schedule with worker threads synchronized per wave — the same discipline
- * the distributed backend uses, on local threads; it is kept as the
- * reference implementation of Algorithm 1 and as the comparison baseline
- * for the dependency-counting Executor (executor.h), which production
- * paths use instead. Both are the *functional* backends; wall-clock
- * modeling of clusters/GPUs lives in cluster_sim.h and gpu_sim.h.
+ * RunProgram is the reference oracle every other path is tested against.
+ * RunProgramCheckpointed adds ordinal-cut checkpoint capture and resume.
+ * Threaded execution is the engine (engine.h), reached through
+ * Executor::Run (executor.h) for one program and ServingExecutor
+ * (serving.h) for many. Wall-clock modeling of clusters and GPUs lives in
+ * cluster_sim.h and gpu_sim.h.
  *
- * Prefer the unified dispatcher backend::Execute (execute.h) over calling
- * these entry points directly. Its ExecOptions select the path:
- *   - mode == kSequential, or kAuto with num_threads == 1
- *       -> RunProgram (this file): in-order interpretation, bit-identical
- *          reference results, RunControl honored per gate.
- *   - mode == kWaveBarrier
- *       -> RunProgramThreaded (this file): per-wave barrier, fresh threads
- *          each wave; legacy Algorithm-1 reference. No RunControl support.
- *   - mode == kDependencyCounting, or kAuto with num_threads > 1
- *       -> Executor::Run (executor.h): persistent pool, gates start the
- *          moment their inputs exist, RunControl honored per gate. Passing
- *          ExecOptions::executor reuses a caller-owned pool; otherwise a
- *          transient pool is created for the call.
- * Multi-job serving (many programs interleaved on one pool) is a separate
- * substrate: backend/serving.h.
+ * Prefer the dispatcher backend::Execute (execute.h). Its ExecOptions
+ * select the path:
+ *   - num_threads == 1 and batch_size == 1
+ *       -> RunProgramCheckpointed: in-order interpretation, RunControl
+ *          honored per gate, ordinal-cut checkpoints captured and resumed.
+ *   - otherwise
+ *       -> Executor::Run: the engine on a persistent pool (the caller's
+ *          ExecOptions::executor, else a transient one), RunControl
+ *          honored per gate, checkpoints captured and resumed.
  */
 #ifndef PYTFHE_BACKEND_INTERPRETER_H
 #define PYTFHE_BACKEND_INTERPRETER_H
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "backend/arena.h"
@@ -46,7 +34,6 @@
 #include "backend/evaluator.h"
 #include "backend/fault.h"
 #include "backend/run_control.h"
-#include "backend/scheduler.h"
 #include "pasm/memory_plan.h"
 #include "pasm/program.h"
 
@@ -75,48 +62,13 @@ inline void ValidateRunArgs(const pasm::Program& program, size_t num_inputs,
 }  // namespace detail
 
 /**
- * Executes `program` on `inputs` (one ciphertext per input instruction).
- * Returns one ciphertext per output instruction. Throws
- * std::invalid_argument if inputs.size() != program.NumInputs();
- * CancelledError / DeadlineExceededError when `control` triggers mid-run;
+ * Checkpoint-aware sequential interpreter: executes `program` on `inputs`
+ * (one ciphertext per input instruction) in instruction order and returns
+ * one ciphertext per output instruction. Throws std::invalid_argument if
+ * inputs.size() != program.NumInputs(); CancelledError /
+ * DeadlineExceededError when `control` triggers mid-run;
  * GateExecutionError when a gate evaluation throws (including faults
  * injected by `fault` — a disengaged hook costs one branch per gate).
- */
-template <typename Evaluator>
-std::vector<typename Evaluator::Ciphertext> RunProgram(
-    const pasm::Program& program, Evaluator& eval,
-    const std::vector<typename Evaluator::Ciphertext>& inputs,
-    const RunControl& control = {}, const FaultHook& fault = {}) {
-    detail::ValidateRunArgs(program, inputs.size(), 1);
-    const bool guarded = control.Engaged();
-
-    const uint64_t first_gate = program.FirstGateIndex();
-    const uint64_t end_gate = first_gate + program.NumGates();
-    // In-order execution tolerates any memory plan (a value's slot is not
-    // overwritten before its last in-order reader by plan validity).
-    ValuePlane<Evaluator> plane;
-    plane.Reset(program, inputs);
-    // Injected stalls respect this run's cancel/deadline token.
-    FaultHook hook = fault;
-    if (hook.control == nullptr) hook.control = &control;
-    typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-    for (uint64_t idx = first_gate; idx < end_gate; ++idx) {
-        if (guarded) {
-            const RunControl::Abort abort = control.Check();
-            if (abort != RunControl::Abort::kNone) RunControl::Raise(abort);
-        }
-        try {
-            hook.OnGate(idx - first_gate);
-            plane.Apply(eval, program, idx, scratch);
-        } catch (...) {
-            RethrowAsGateError(idx - first_gate, fault.attempt);
-        }
-    }
-    return plane.Harvest(program);
-}
-
-/**
- * Checkpoint-aware sequential interpreter. Behaves like RunProgram, plus:
  *
  *  - If `store` holds a record, it is decoded (CRC + fingerprint
  *    verified); on success the run restores the snapshotted live set and
@@ -143,216 +95,104 @@ std::vector<typename Evaluator::Ciphertext> RunProgramCheckpointed(
     CheckpointRunStats* stats = nullptr) {
     using C = typename Evaluator::Ciphertext;
     detail::ValidateRunArgs(program, inputs.size(), 1);
-    if constexpr (!CiphertextCodec<C>::kSupported) {
-        if (store != nullptr) store->Clear();
-        return RunProgram(program, eval, inputs, control, fault);
-    } else {
-        const bool guarded = control.Engaged();
-        const uint64_t first_gate = program.FirstGateIndex();
-        const uint64_t end_gate = first_gate + program.NumGates();
-        const bool capture = policy.Enabled() && store != nullptr;
+    const bool guarded = control.Engaged();
+    const uint64_t first_gate = program.FirstGateIndex();
+    const uint64_t end_gate = first_gate + program.NumGates();
+    bool capture = false;
+    if constexpr (CiphertextCodec<C>::kSupported)
+        capture = policy.Enabled() && store != nullptr;
 
-        ValuePlane<Evaluator> plane;
-        plane.Reset(program, inputs);
+    // In-order execution tolerates any memory plan (a value's slot is not
+    // overwritten before its last in-order reader by plan validity).
+    ValuePlane<Evaluator> plane;
+    plane.Reset(program, inputs);
 
-        std::optional<DecodedCheckpoint<C>> resume;
-        if (store != nullptr && !store->Empty()) {
-            std::string error;
-            resume = DecodeCheckpoint<C>(store->record,
-                                         ProgramFingerprint(program),
-                                         end_gate, &error);
-            if (resume && !CutValidForProgram(resume->cut, program))
-                resume.reset();
-            if (!resume) {
-                store->Clear();
-                if (stats) ++stats->corrupt_discarded;
-            }
-        }
+    const std::optional<DecodedCheckpoint<C>> resume =
+        LoadCheckpoint<C>(program, store, stats);
 
-        std::vector<uint64_t> level;
-        std::vector<uint64_t> suffmin;  // Min level over instrs >= idx.
-        pasm::ValueLiveness liveness;
-        if (capture || (resume && resume->cut == CheckpointCut::kLevel))
-            level = program.ValueLevels();
-        if (capture) {
-            liveness = pasm::ComputeValueLiveness(program);
-            suffmin.assign(end_gate + 1, ~UINT64_C(0));
-            for (uint64_t idx = end_gate; idx > first_gate; --idx)
-                suffmin[idx - 1] = std::min(suffmin[idx], level[idx - 1]);
-        }
-
-        uint64_t done_count = 0;
-        uint64_t last_ckpt_level = 0;
-        if (resume) {
-            RestoreCheckpoint(plane, *resume);
-            done_count = resume->gates_completed;
-            if (stats) {
-                ++stats->resumes;
-                stats->gates_resumed += resume->gates_completed;
-            }
-            if (capture)
-                last_ckpt_level =
-                    resume->cut == CheckpointCut::kLevel
-                        ? resume->boundary - 1
-                        : suffmin[std::min(resume->boundary + 1,
-                                           end_gate)] - 1;
-        }
-        auto is_done = [&](uint64_t idx) {
-            if (!resume) return false;
-            return resume->cut == CheckpointCut::kOrdinal
-                       ? idx <= resume->boundary
-                       : level[idx] < resume->boundary;
-        };
-
-        typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-        // Injected stalls respect this run's cancel/deadline token.
-        FaultHook hook = fault;
-        if (hook.control == nullptr) hook.control = &control;
-        uint64_t gates_since_ckpt = 0;
-        for (uint64_t idx = first_gate; idx < end_gate; ++idx) {
-            if (is_done(idx)) continue;
-            if (guarded) {
-                const RunControl::Abort abort = control.Check();
-                if (abort != RunControl::Abort::kNone)
-                    RunControl::Raise(abort);
-            }
-            try {
-                hook.OnGate(idx - first_gate);
-                plane.Apply(eval, program, idx, scratch);
-            } catch (...) {
-                RethrowAsGateError(idx - first_gate, fault.attempt);
-            }
-            ++done_count;
-            ++gates_since_ckpt;
-            // A checkpoint is worthwhile only strictly mid-run: after the
-            // last gate the outputs are about to be harvested anyway.
-            if (capture && idx + 1 < end_gate) {
-                const uint64_t completed = suffmin[idx + 1] - 1;
-                if (completed >= last_ckpt_level + policy.every_n_levels &&
-                    gates_since_ckpt >= policy.min_gates_between) {
-                    const std::vector<uint64_t> live =
-                        pasm::LiveValuesAtOrdinalCut(liveness, idx);
-                    std::string record = EncodeCheckpoint(
-                        program, plane, live, CheckpointCut::kOrdinal, idx,
-                        done_count);
-                    if (policy.max_bytes == 0 ||
-                        record.size() <= policy.max_bytes) {
-                        store->gates_completed = done_count;
-                        store->record = std::move(record);
-                        last_ckpt_level = completed;
-                        gates_since_ckpt = 0;
-                        if (stats) {
-                            ++stats->checkpoints_taken;
-                            stats->checkpoint_bytes = store->record.size();
-                        }
-                    }
-                }
-            }
-        }
-        return plane.Harvest(program);
+    std::vector<uint64_t> level;
+    std::vector<uint64_t> suffmin;  // Min level over instrs >= idx.
+    pasm::ValueLiveness liveness;
+    if (capture) {
+        level = program.ValueLevels();
+        liveness = pasm::ComputeValueLiveness(program);
+        suffmin.assign(end_gate + 1, ~UINT64_C(0));
+        for (uint64_t idx = end_gate; idx > first_gate; --idx)
+            suffmin[idx - 1] = std::min(suffmin[idx], level[idx - 1]);
     }
+
+    uint64_t done_count = 0;
+    uint64_t last_ckpt_level = 0;
+    std::vector<uint8_t> done;  // Per gate ordinal; empty = none resumed.
+    if (resume) {
+        RestoreCheckpoint(plane, *resume);
+        done_count = resume->gates_completed;
+        done = BuildResumeState(program, program.BuildGateDependencies(),
+                                resume->cut, resume->boundary)
+                   .done;
+        if (capture)
+            last_ckpt_level =
+                resume->cut == CheckpointCut::kLevel
+                    ? resume->boundary - 1
+                    : suffmin[std::min(resume->boundary + 1, end_gate)] - 1;
+    }
+
+    typename detail::WorkerScratchOf<Evaluator>::type scratch{};
+    // Injected stalls respect this run's cancel/deadline token.
+    FaultHook hook = fault;
+    if (hook.control == nullptr) hook.control = &control;
+    uint64_t gates_since_ckpt = 0;
+    for (uint64_t idx = first_gate; idx < end_gate; ++idx) {
+        if (!done.empty() && done[idx - first_gate]) continue;
+        if (guarded) {
+            const RunControl::Abort abort = control.Check();
+            if (abort != RunControl::Abort::kNone) RunControl::Raise(abort);
+        }
+        try {
+            hook.OnGate(idx - first_gate);
+            plane.Apply(eval, program, idx, scratch);
+        } catch (...) {
+            RethrowAsGateError(idx - first_gate, fault.attempt);
+        }
+        ++done_count;
+        ++gates_since_ckpt;
+        // A checkpoint is worthwhile only strictly mid-run: after the last
+        // gate the outputs are about to be harvested anyway.
+        if constexpr (CiphertextCodec<C>::kSupported) {
+            if (!capture || idx + 1 >= end_gate) continue;
+            const uint64_t completed = suffmin[idx + 1] - 1;
+            if (completed < last_ckpt_level + policy.every_n_levels ||
+                gates_since_ckpt < policy.min_gates_between)
+                continue;
+            std::string record = EncodeCheckpoint(
+                program, plane, pasm::LiveValuesAtOrdinalCut(liveness, idx),
+                CheckpointCut::kOrdinal, idx, done_count);
+            if (policy.max_bytes != 0 && record.size() > policy.max_bytes)
+                continue;
+            store->gates_completed = done_count;
+            store->record = std::move(record);
+            last_ckpt_level = completed;
+            gates_since_ckpt = 0;
+            if (stats) {
+                ++stats->checkpoints_taken;
+                stats->checkpoint_bytes = store->record.size();
+            }
+        }
+    }
+    return plane.Harvest(program);
 }
 
 /**
- * Level-parallel execution with `num_threads` workers and a barrier
- * between waves (Algorithm 1's Compute(C - finished) discipline). The
- * evaluator's Apply must be safe to call concurrently; profile counters
- * are atomic, so accounting stays exact. num_threads == 1 bypasses
- * scheduling entirely and runs the sequential interpreter — the outputs
- * are bit-identical. A throwing gate evaluation (or an injected fault)
- * stops the remaining waves and rethrows as GateExecutionError after the
- * in-flight wave drains — worker threads are always joined.
- *
- * Spawns fresh threads per wave; prefer Executor (executor.h) for
- * repeated runs.
- *
- * `resume` optionally names a decoded checkpoint (frame already
- * verified): the snapshotted values are restored and every gate at or
- * below the cut is skipped. Capture is not supported on this legacy
- * path — checkpoints come from the sequential interpreter or the
- * serving executor.
+ * The reference oracle: RunProgramCheckpointed with no checkpoint store,
+ * i.e. every gate in instruction order.
  */
 template <typename Evaluator>
-std::vector<typename Evaluator::Ciphertext> RunProgramThreaded(
+std::vector<typename Evaluator::Ciphertext> RunProgram(
     const pasm::Program& program, Evaluator& eval,
     const std::vector<typename Evaluator::Ciphertext>& inputs,
-    int32_t num_threads, const FaultHook& fault = {},
-    const DecodedCheckpoint<typename Evaluator::Ciphertext>* resume =
-        nullptr) {
-    detail::ValidateRunArgs(program, inputs.size(), num_threads);
-    if (num_threads == 1 && resume == nullptr)
-        return RunProgram(program, eval, inputs, {}, fault);
-
-    const Schedule schedule = ComputeSchedule(program);
-    const uint64_t first_gate = program.FirstGateIndex();
-    // Wave-barrier execution may only reuse slots across a level boundary,
-    // so plans not flagged level-safe are ignored (identity layout).
-    const pasm::MemoryPlan* plan = program.Plan();
-    ValuePlane<Evaluator> plane;
-    plane.Reset(program, inputs, plan != nullptr && plan->level_safe);
-
-    std::vector<uint8_t> done;
-    if (resume != nullptr) {
-        RestoreCheckpoint(plane, *resume);
-        done.assign(program.NumGates(), 0);
-        if (resume->cut == CheckpointCut::kOrdinal) {
-            const uint64_t last =
-                std::min(resume->boundary + 1,
-                         first_gate + program.NumGates());
-            for (uint64_t idx = first_gate; idx < last; ++idx)
-                done[idx - first_gate] = 1;
-        } else {
-            const std::vector<uint64_t> level = program.ValueLevels();
-            for (uint64_t g = 0; g < program.NumGates(); ++g)
-                done[g] = level[first_gate + g] < resume->boundary ? 1 : 0;
-        }
-    }
-
-    // First failure wins; later workers observe the flag and stop picking.
-    std::atomic<bool> failed{false};
-    std::mutex error_mu;
-    std::optional<GateExecutionError> error;
-
-    for (const auto& wave : schedule.levels) {
-        // Submit the whole ready set, then barrier before the next wave.
-        std::atomic<size_t> cursor{0};
-        auto worker = [&]() {
-            // One scratch per participating thread, local to its call.
-            typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-            while (!failed.load(std::memory_order_relaxed)) {
-                const size_t i = cursor.fetch_add(1);
-                if (i >= wave.size()) break;
-                const uint64_t idx = wave[i];
-                if (!done.empty() && done[idx - first_gate]) continue;
-                try {
-                    fault.OnGate(idx - first_gate);
-                    plane.Apply(eval, program, idx, scratch);
-                } catch (...) {
-                    try {
-                        RethrowAsGateError(idx - first_gate, fault.attempt);
-                    } catch (const GateExecutionError& e) {
-                        std::lock_guard<std::mutex> lock(error_mu);
-                        if (!error) error = e;
-                    }
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-        };
-        if (wave.size() == 1) {
-            worker();
-        } else {
-            std::vector<std::thread> threads;
-            const int32_t n = std::min<int32_t>(
-                num_threads, static_cast<int32_t>(wave.size()));
-            threads.reserve(n);
-            for (int32_t t = 0; t < n; ++t) threads.emplace_back(worker);
-            for (auto& t : threads) t.join();
-        }
-        if (failed.load(std::memory_order_relaxed)) break;
-    }
-    if (error) throw *error;
-
-    return plane.Harvest(program);
+    const RunControl& control = {}, const FaultHook& fault = {}) {
+    return RunProgramCheckpointed(program, eval, inputs, {}, nullptr,
+                                  control, fault);
 }
 
 }  // namespace pytfhe::backend

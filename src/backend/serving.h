@@ -3,33 +3,32 @@
  * Multi-job serving substrate: many programs interleaved gate-by-gate on
  * one persistent worker pool.
  *
- * Executor::Run multiplexes the gates of ONE program; a server under load
- * has many small encrypted jobs whose individual dependency chains leave
- * most workers idle (a ripple adder keeps ~1.3 threads busy no matter how
- * many it is given). ServingExecutor keeps the dependency-counting
- * discipline per job but lets the shared workers pick ready gates from
- * every admitted job, so independent jobs fill each other's pipeline
- * bubbles.
+ * A server under load has many small encrypted jobs whose individual
+ * dependency chains leave most workers idle (a ripple adder keeps ~1.3
+ * threads busy no matter how many it is given). ServingExecutor runs every
+ * admitted job on one engine (engine.h), whose workers claim ready gates
+ * from all of them, so independent jobs fill each other's pipeline
+ * bubbles. The engine does the gate work — claims, chaining, batching,
+ * dependency counts, checkpoint capture and resume; this file adds what
+ * serving needs on top: admission and tenant quotas, retry with backoff,
+ * the degraded sequential attempt, the stall watchdog, and Stop.
  *
  * Scheduling policy, in order:
  *   - Admission: at most `max_active_jobs` jobs execute concurrently;
  *     excess submissions wait in a FIFO queue. Submissions beyond
  *     `max_pending_jobs` (queued + active) are rejected immediately with
  *     the typed OverloadedError — bounded memory, no silent growth.
- *   - Fairness: workers scan active jobs round-robin and each job holds at
- *     most `per_job_inflight_cap` gates in flight, so one wide job cannot
- *     monopolize the pool while narrow jobs starve.
- *   - Chaining: a worker finishing a gate runs one newly ready successor
- *     of the same job directly (no queue round-trip), which preserves the
- *     in-flight count it already holds — depth-first within a job, fair
- *     across jobs.
+ *   - Fairness: the engine scans active jobs round-robin and each job
+ *     holds at most `per_job_inflight_cap` gates in flight, so one wide
+ *     job cannot monopolize the pool while narrow jobs starve.
+ *   - Chaining: a worker finishing a one-gate claim runs one newly ready
+ *     successor of the same job directly (no queue round-trip), which
+ *     preserves the in-flight count it already holds — depth-first within
+ *     a job, fair across jobs.
  *
- * Cancellation and deadlines are cooperative at gate granularity: a
- * cancelled or expired job stops evaluating gates but still drains its
- * dependency counts (skipped gates cost a counter decrement, not a
- * bootstrap), so it terminates promptly without special-casing the
- * scheduler. Queued jobs check the deadline at admission; there is no
- * timer thread.
+ * Cancellation and deadlines are cooperative at gate granularity (the
+ * engine drains a stopping job without evaluating it). Queued jobs check
+ * the deadline at admission; there is no timer thread.
  *
  * Fault tolerance (fault.h): a throwing gate evaluation — a real
  * evaluator exception or one injected by ServingOptions::fault_injector —
@@ -46,19 +45,14 @@
  * their attempts (or hit a permanent fault) resolve kFailed and
  * Outputs() rethrows the latched error.
  *
- * Checkpointed execution (checkpoint.h): with ServingOptions::checkpoint
- * enabled, each job quiesces at every Nth wave level — newly ready gates
- * at or beyond the armed boundary are held back instead of published, so
- * once every gate below the boundary has drained the job is provably
- * quiescent — and the live slot set (pasm::ComputeValueLiveness: pinned
- * outputs plus values whose death level reaches the boundary) is
- * snapshotted into a CRC32C-framed record. A retry then resumes from the
- * last valid checkpoint and re-executes only the gates past the cut; a
- * corrupt record is discarded (counted) and the retry falls back to full
- * re-execution — never a wrong answer. Jobs that keep dying after
- * resuming are quarantined after max_resume_failures resumed attempts
- * (typed JobQuarantinedError) so a poison job cannot burn pool time
- * forever.
+ * Checkpointed execution: with ServingOptions::checkpoint enabled, the
+ * engine captures each job's live set at wave-level quiesce points
+ * (engine.h), and a retry resumes from the last valid record and
+ * re-executes only the gates past the cut; a corrupt record is discarded
+ * (counted) and the retry falls back to full re-execution. Jobs that keep
+ * dying after resuming are quarantined after max_resume_failures resumed
+ * attempts (typed JobQuarantinedError) so a poison job cannot burn pool
+ * time forever.
  *
  * Stall watchdog: with stall_timeout_seconds > 0 a dedicated thread
  * compares each active job's progress heartbeat (bumped per processed
@@ -89,11 +83,11 @@
 #include <vector>
 
 #include "backend/checkpoint.h"
+#include "backend/engine.h"
 #include "backend/executor.h"
 #include "backend/fault.h"
 #include "backend/interpreter.h"
 #include "circuit/gate_type.h"
-#include "pasm/memory_plan.h"
 #include "pasm/program.h"
 
 namespace pytfhe::backend {
@@ -201,21 +195,6 @@ class JobQuarantinedError : public std::runtime_error {
     uint32_t resume_failures_;
 };
 
-/** Lifecycle of one submitted job. */
-enum class JobStatus {
-    kQueued,    ///< Admitted to the service, waiting for an active slot.
-    kRunning,   ///< Gates executing (or draining after cancel/expiry).
-    kDone,      ///< All gates executed; outputs available.
-    kCancelled, ///< Cancel() landed before completion; no outputs.
-    kDeadlineExceeded,  ///< Deadline passed before completion; no outputs.
-    kFailed,    ///< A gate evaluation threw and retries ran out; no outputs.
-};
-
-inline bool IsTerminal(JobStatus s) {
-    return s == JobStatus::kDone || s == JobStatus::kCancelled ||
-           s == JobStatus::kDeadlineExceeded || s == JobStatus::kFailed;
-}
-
 /** Per-job accounting, final once the job reaches a terminal status. */
 struct JobMetrics {
     double queue_seconds = 0.0;  ///< Submit -> first active (admission).
@@ -319,13 +298,14 @@ struct ServingOptions {
     /**
      * Maximum simultaneously ready gates one worker claims at a time and
      * fuses into one batched bootstrap kernel call (evaluators opt in via
-     * ApplyBatch; others run the claim gate-by-gate). Gates are gathered
+     * ApplyBatch; others claim one gate at a time). Gates are gathered
      * round-robin across active jobs — batching composes with fairness —
      * but only from jobs sharing the first picked job's evaluator, since
      * one batched blind rotation uses one bootstrapping key. Within a job,
-     * batch mode serves the ready list FIFO. Fault injection stays per
-     * gate: a faulted gate inside a batch fails only its own job.
-     * 1 disables batching and leaves the scalar pick/chain path untouched.
+     * batch mode serves the ready list FIFO, and a bootstrap the evaluator
+     * cannot fuse is claimed alone. Fault injection stays per gate: a
+     * faulted gate inside a batch fails only its own job. 1 disables
+     * batching.
      */
     int32_t batch_size = 1;
     /**
@@ -417,24 +397,25 @@ class ServingExecutor {
   private:
     using Clock = std::chrono::steady_clock;
     using JobPtr = std::shared_ptr<Job>;
+    using GateJob = EngineJob<Evaluator>;
 
     /**
-     * All shared scheduler state, one mutex. Shared-ptr-owned so a Job
-     * handle outliving the ServingExecutor keeps the synchronization
-     * primitives its methods lock alive.
+     * The engine plus everything serving adds, under the engine's one
+     * mutex. Shared-ptr-owned so a Job handle outliving the
+     * ServingExecutor keeps the synchronization primitives its methods
+     * lock alive.
      */
-    struct Core {
-        explicit Core(ServingOptions o) : opts(o) {}
+    struct Core final : Engine<Evaluator> {
+        explicit Core(ServingOptions o)
+            : Engine<Evaluator>(o.batch_size, o.checkpoint), opts(o) {}
 
         const ServingOptions opts;
 
-        std::mutex mu;
-        std::condition_variable work_cv;  ///< Workers wait for ready gates.
         std::condition_variable watchdog_cv;  ///< Wakes the stall watchdog.
         std::vector<JobPtr> active;
         std::deque<JobPtr> queued;
-        size_t rr = 0;  ///< Round-robin cursor into `active`.
-        bool shutdown = false;
+        /** Active degraded attempts not yet claimed by a worker. */
+        std::deque<JobPtr> sequential;
         ServingStats stats;
 
         /** Live per-tenant job counts, for the admission quotas. */
@@ -444,25 +425,15 @@ class ServingExecutor {
         };
         std::map<uint64_t, TenantLoad> tenant_load;
 
-        /** Pending-count bump at submission (quota already checked). */
-        void TenantSubmittedLocked(uint64_t tenant) {
-            ++tenant_load[tenant].pending;
-        }
-
-        /** A job left the system entirely (any terminal transition). */
-        void TenantFinishedLocked(uint64_t tenant) {
+        /**
+         * Drops one of the tenant's `pending` (the job left the system)
+         * or `active` (it left the active set) counts.
+         */
+        void TenantReleaseLocked(uint64_t tenant,
+                                 uint32_t TenantLoad::*count) {
             auto it = tenant_load.find(tenant);
             if (it == tenant_load.end()) return;
-            if (it->second.pending > 0) --it->second.pending;
-            if (it->second.pending == 0 && it->second.active == 0)
-                tenant_load.erase(it);
-        }
-
-        /** A job left the active set (finished or re-queued for retry). */
-        void TenantDeactivatedLocked(uint64_t tenant) {
-            auto it = tenant_load.find(tenant);
-            if (it == tenant_load.end()) return;
-            if (it->second.active > 0) --it->second.active;
+            if (it->second.*count > 0) --(it->second.*count);
             if (it->second.pending == 0 && it->second.active == 0)
                 tenant_load.erase(it);
         }
@@ -473,185 +444,6 @@ class ServingExecutor {
             auto it = tenant_load.find(tenant);
             return it == tenant_load.end() ||
                    it->second.active < opts.max_active_jobs_per_tenant;
-        }
-
-        /**
-         * Arms the next checkpoint boundary of a checkpoint-enabled job,
-         * given that every gate at wave level <= done_level is complete
-         * and no gate above done_level has started (true at job start, at
-         * a fresh retry, after a capture at level done_level + 1, and
-         * after a level-cut resume at boundary done_level + 1). Newly
-         * ready gates at or beyond the boundary are held back until the
-         * capture fires, which is what makes the boundary a quiesce
-         * point: once every gate below it drains, nothing of the job is
-         * running. Past the last level the barrier is dropped entirely.
-         * Ready/held lists are re-partitioned against the new boundary.
-         */
-        void ArmBarrierLocked(Job& job, uint64_t done_level) {
-            const uint64_t boundary =
-                done_level + opts.checkpoint.every_n_levels + 1;
-            if (!job.ckpt_enabled || boundary > job.max_level) {
-                ReleaseBarrierLocked(job);
-                return;
-            }
-            job.ckpt_boundary = boundary;
-            // Gate levels are contiguous 1..max_level (ASAP levels), so
-            // at least one unfinished gate sits below every armed
-            // boundary — the capture trigger cannot starve.
-            job.below_remaining = job.cum_gates[boundary] -
-                                  job.cum_gates[done_level + 1];
-            std::vector<uint64_t> ready, held;
-            for (uint64_t g : job.ready)
-                (job.liveness.level[g] < boundary ? ready : held)
-                    .push_back(g);
-            for (uint64_t g : job.held)
-                (job.liveness.level[g] < boundary ? ready : held)
-                    .push_back(g);
-            job.ready.swap(ready);
-            job.held.swap(held);
-        }
-
-        /** Drops the quiesce barrier and publishes every held gate (drain,
-         *  stall preemption, shutdown, or no boundary left to arm). */
-        void ReleaseBarrierLocked(Job& job) {
-            job.ckpt_boundary = 0;
-            if (job.held.empty()) return;
-            job.ready.insert(job.ready.end(), job.held.begin(),
-                             job.held.end());
-            job.held.clear();
-            work_cv.notify_all();
-        }
-
-        /**
-         * Fires the armed checkpoint once the job quiesces at its
-         * boundary: every gate below it processed (below_remaining == 0)
-         * and no gate in flight. Called whenever a job's in-flight count
-         * drops. A draining job (cancel, failure, deadline, shutdown)
-         * drops its barrier instead — held gates must flow for the drain
-         * to terminate, and a snapshot of a dying attempt has no value.
-         */
-        void MaybeCaptureLocked(Job& job) {
-            if (job.ckpt_boundary == 0) return;
-            if (job.cancel_requested.load(std::memory_order_relaxed) ||
-                job.fail_requested.load(std::memory_order_relaxed) ||
-                job.deadline_hit || shutdown) {
-                ReleaseBarrierLocked(job);
-                return;
-            }
-            if (job.below_remaining != 0 || job.in_flight != 0 ||
-                job.remaining == 0)
-                return;
-            const uint64_t boundary = job.ckpt_boundary;
-            if constexpr (CiphertextCodec<Ciphertext>::kSupported) {
-                if (opts.checkpoint.min_gates_between == 0 ||
-                    job.gates_since_ckpt >=
-                        opts.checkpoint.min_gates_between ||
-                    job.checkpoint.Empty()) {
-                    // Encoding under the lock keeps the quiesce invariant
-                    // trivially true; the records are small (live set at
-                    // a wave boundary, not the whole plane).
-                    const std::vector<uint64_t> live =
-                        pasm::LiveValuesAtLevelCut(job.liveness, boundary);
-                    std::string record = EncodeCheckpoint(
-                        *job.program, job.values, live,
-                        CheckpointCut::kLevel, boundary,
-                        job.cum_gates[boundary]);
-                    if (opts.checkpoint.max_bytes == 0 ||
-                        record.size() <= opts.checkpoint.max_bytes) {
-                        job.checkpoint.gates_completed =
-                            job.cum_gates[boundary];
-                        job.checkpoint.record = std::move(record);
-                        job.gates_since_ckpt = 0;
-                        ++job.ckpt_taken;
-                        ++stats.checkpoints_taken;
-                        stats.checkpoint_bytes +=
-                            job.checkpoint.record.size();
-                    }
-                }
-            }
-            ArmBarrierLocked(job, boundary - 1);
-            work_cv.notify_all();
-        }
-
-        /**
-         * Pops the next ready gate, fair round-robin under the cap. A job
-         * marked run_sequential (degraded final attempt) is claimed whole:
-         * the picker returns it with detail::kNoGate once no other worker
-         * holds any of its gates, and the claimer runs the entire program
-         * on the sequential interpreter.
-         */
-        bool PickLocked(JobPtr* job, uint64_t* gate) {
-            const size_t n = active.size();
-            for (size_t i = 0; i < n; ++i) {
-                const size_t j = (rr + i) % n;
-                Job& cand = *active[j];
-                if (cand.run_sequential) {
-                    if (cand.in_flight > 0) continue;
-                    *gate = detail::kNoGate;
-                    *job = active[j];
-                    rr = (j + 1) % n;
-                    return true;
-                }
-                if (cand.ready.empty() ||
-                    cand.in_flight >= opts.per_job_inflight_cap * cand.weight)
-                    continue;
-                *gate = cand.ready.back();
-                cand.ready.pop_back();
-                *job = active[j];
-                rr = (j + 1) % n;
-                return true;
-            }
-            return false;
-        }
-
-        /** One gate claimed by a batch worker, with its attempt stamp. */
-        struct Picked {
-            JobPtr job;
-            uint64_t gate = 0;
-            uint32_t attempt = 0;
-        };
-
-        /**
-         * Batch-mode pick: claims up to opts.batch_size ready gates,
-         * round-robin across active jobs under the per-job in-flight cap,
-         * FIFO within each job's ready list. All gates of one claim come
-         * from jobs sharing the first picked job's evaluator (one batch =
-         * one bootstrapping key). In-flight counts are taken at pick time,
-         * one per gate. A run_sequential job is still claimed whole and
-         * alone (gate == detail::kNoGate), exactly like PickLocked.
-         */
-        bool PickBatchLocked(std::vector<Picked>* out) {
-            const size_t n = active.size();
-            const size_t want = static_cast<size_t>(opts.batch_size);
-            const Evaluator* anchor = nullptr;
-            size_t last = rr;
-            for (size_t i = 0; i < n && out->size() < want; ++i) {
-                const size_t j = (rr + i) % n;
-                Job& cand = *active[j];
-                if (cand.run_sequential) {
-                    if (!out->empty() || cand.in_flight > 0) continue;
-                    ++cand.in_flight;
-                    out->push_back(
-                        Picked{active[j], detail::kNoGate, cand.attempt});
-                    rr = (j + 1) % n;
-                    return true;
-                }
-                if (anchor != nullptr && cand.eval != anchor) continue;
-                const uint32_t cap =
-                    opts.per_job_inflight_cap * cand.weight;
-                while (out->size() < want && !cand.ready.empty() &&
-                       cand.in_flight < cap) {
-                    out->push_back(Picked{active[j], cand.ready.front(),
-                                          cand.attempt});
-                    cand.ready.erase(cand.ready.begin());
-                    ++cand.in_flight;
-                    anchor = cand.eval;
-                    last = j;
-                }
-            }
-            if (out->empty()) return false;
-            rr = (last + 1) % n;
-            return true;
         }
 
         /**
@@ -674,12 +466,12 @@ class ServingExecutor {
             job.metrics.gates_executed = job.gates_executed;
             job.metrics.gates_skipped = job.gates_skipped;
             job.metrics.bootstraps_elided = job.linear_executed;
-            job.metrics.attempts = job.attempt + 1;
+            job.metrics.attempts = job.fault.attempt + 1;
             job.metrics.gate_failures = job.gate_failures;
-            job.metrics.degraded_sequential = job.degraded;
-            job.metrics.checkpoints_taken = job.ckpt_taken;
-            job.metrics.checkpoint_resumes = job.ckpt_resumes;
-            job.metrics.gates_resumed = job.ckpt_gates_resumed;
+            job.metrics.degraded_sequential = job.run_sequential;
+            job.metrics.checkpoints_taken = job.ckpt.checkpoints_taken;
+            job.metrics.checkpoint_resumes = job.ckpt.resumes;
+            job.metrics.gates_resumed = job.ckpt.gates_resumed;
             job.metrics.stalls = job.stall_count;
             job.metrics.quarantined = job.quarantined;
             if (status == JobStatus::kDone) {
@@ -707,11 +499,11 @@ class ServingExecutor {
             stats.bootstraps_elided += job.linear_executed;
             stats.total_queue_seconds += job.metrics.queue_seconds;
             stats.total_run_seconds += job.metrics.run_seconds;
-            TenantFinishedLocked(job.tenant);
+            TenantReleaseLocked(job.tenant, &TenantLoad::pending);
             job.done_cv.notify_all();
             // Wakes idle workers so shutdown drain can complete, and lets
             // a blocked Submit-side admission happen below via AdmitLocked.
-            work_cv.notify_all();
+            this->work_cv.notify_all();
         }
 
         /**
@@ -727,7 +519,7 @@ class ServingExecutor {
             // is taken or the job is parked in retry backoff: neither a
             // full service nor an unelapsed backoff extends a deadline.
             for (size_t i = 0; i < queued.size();) {
-                if (now >= queued[i]->deadline) {
+                if (now >= queued[i]->control.deadline) {
                     JobPtr job = std::move(queued[i]);
                     queued.erase(queued.begin() + i);
                     FinishLocked(*job, JobStatus::kDeadlineExceeded);
@@ -743,16 +535,11 @@ class ServingExecutor {
                     ++i;
                     continue;
                 }
+                // A queued job is never cancelled (Cancel and Stop finish
+                // queued jobs on the spot) and its deadline was checked
+                // above.
                 JobPtr job = std::move(queued[i]);
                 queued.erase(queued.begin() + i);
-                if (job->cancel_requested.load(std::memory_order_relaxed)) {
-                    FinishLocked(*job, JobStatus::kCancelled);
-                    continue;
-                }
-                if (Clock::now() >= job->deadline) {
-                    FinishLocked(*job, JobStatus::kDeadlineExceeded);
-                    continue;
-                }
                 if (!job->started) {
                     job->started = true;
                     job->start_time = Clock::now();
@@ -763,11 +550,16 @@ class ServingExecutor {
                 job->watchdog_epoch = job->progress_epoch;
                 job->status = JobStatus::kRunning;
                 ++tenant_load[job->tenant].active;
+                if (job->run_sequential) {
+                    sequential.push_back(job);
+                } else {
+                    this->AddRunnableLocked(*job);
+                }
                 active.push_back(std::move(job));
                 stats.max_active_observed =
                     std::max(stats.max_active_observed,
                              static_cast<uint32_t>(active.size()));
-                work_cv.notify_all();
+                this->work_cv.notify_all();
             }
         }
 
@@ -787,7 +579,7 @@ class ServingExecutor {
             // (backoff, full service, tenant quota) must fail at the
             // deadline, not whenever a slot happens to open.
             for (const JobPtr& job : queued)
-                next = std::min(next, job->deadline);
+                next = std::min(next, job->control.deadline);
             if (active.size() >= opts.max_active_jobs) return next;
             for (const JobPtr& job : queued) {
                 if (!TenantMayActivateLocked(job->tenant)) continue;
@@ -796,64 +588,25 @@ class ServingExecutor {
             return next;
         }
 
-        /**
-         * Restores the job's last checkpoint for a retry: decodes (and
-         * thereby CRC-verifies) the record, re-seeds the plane, restores
-         * the snapshotted slots, and rebuilds the dependency counters past
-         * the cut. Returns false — and the caller falls back to a full
-         * reset — when no usable record exists; a record that fails
-         * verification is additionally discarded and counted, never
-         * trusted.
-         */
-        bool ResumeFromCheckpointLocked(Job& job) {
-            if (!job.ckpt_enabled || job.checkpoint.Empty()) return false;
-            if constexpr (CiphertextCodec<Ciphertext>::kSupported) {
-                std::string error;
-                std::optional<DecodedCheckpoint<Ciphertext>> decoded =
-                    DecodeCheckpoint<Ciphertext>(job.checkpoint.record,
-                                                 job.fingerprint,
-                                                 job.liveness.end_index,
-                                                 &error);
-                // The parallel pickers only resume level cuts (the kind
-                // this executor captures); an ordinal record — possible
-                // only by construction error, since the sequential path
-                // is the final attempt — is unusable here.
-                if (!decoded || decoded->cut != CheckpointCut::kLevel ||
-                    !CutValidForProgram(decoded->cut, *job.program)) {
-                    job.checkpoint.Clear();
-                    ++stats.checkpoints_corrupt_discarded;
-                    return false;
-                }
-                job.values.Reset(*job.program, job.inputs);
-                RestoreCheckpoint(job.values, *decoded);
-                ResumeState state = BuildResumeState(
-                    *job.program, job.deps, decoded->cut,
-                    decoded->boundary);
-                for (uint64_t g = 0; g < job.program->NumGates(); ++g)
-                    job.pending[g].store(state.pending[g],
-                                         std::memory_order_relaxed);
-                job.ready = std::move(state.ready);
-                job.held.clear();
-                job.remaining = state.remaining;
-                ArmBarrierLocked(job, decoded->boundary - 1);
-                job.resumed_attempt = true;
-                ++job.ckpt_resumes;
-                ++stats.checkpoint_resumes;
-                job.ckpt_gates_resumed += state.gates_done;
-                stats.gates_resumed += state.gates_done;
-                return true;
+        /** A job's attempt drained on the engine: resolve it. */
+        void OnDrainedLocked(GateJob& gate_job) override {
+            Job& job = static_cast<Job&>(gate_job);
+            const JobStatus status = this->OutcomeOf(job);
+            if (status == JobStatus::kFailed) {
+                ResolveFailureLocked(job);
+            } else {
+                FinishActiveLocked(job, status);
             }
-            return false;
         }
 
         /**
-         * Terminal resolution of a job whose drain completed with
-         * fail_requested set: retry (possibly resuming from checkpoint),
-         * quarantine, or fail. A watchdog preemption without a latched
-         * gate error counts as transient — the next attempt may well
-         * progress. Quarantine fires when resumed attempts keep dying:
-         * at that point the checkpoint is not helping and the job is
-         * deterministically burning pool time.
+         * Terminal resolution of a job whose attempt failed: retry
+         * (possibly resuming from checkpoint), quarantine, or fail. A
+         * watchdog preemption without a latched gate error counts as
+         * transient — the next attempt may well progress. Quarantine
+         * fires when resumed attempts keep dying: at that point the
+         * checkpoint is not helping and the job is deterministically
+         * burning pool time.
          */
         void ResolveFailureLocked(Job& job) {
             const bool stalled = job.stalled_attempt && !job.failure;
@@ -863,8 +616,8 @@ class ServingExecutor {
                 opts.max_resume_failures > 0 && job.resumed_attempt &&
                 job.resume_failures + 1 >= opts.max_resume_failures;
             if (job.resumed_attempt) ++job.resume_failures;
-            if (transient && !poisoned && !shutdown &&
-                job.attempt + 1 < opts.retry.max_attempts) {
+            if (transient && !poisoned && !this->shutdown &&
+                job.fault.attempt + 1 < opts.retry.max_attempts) {
                 RequeueForRetryLocked(job);
                 return;
             }
@@ -872,90 +625,70 @@ class ServingExecutor {
                 job.quarantined = true;
                 ++stats.jobs_quarantined;
                 job.terminal_error = std::make_exception_ptr(
-                    JobQuarantinedError(job.seq, job.resume_failures));
+                    JobQuarantinedError(job.fault.job, job.resume_failures));
             } else if (stalled) {
                 job.terminal_error = std::make_exception_ptr(StalledError(
-                    job.seq, opts.stall_timeout_seconds));
+                    job.fault.job, opts.stall_timeout_seconds));
             }
             FinishActiveLocked(job, JobStatus::kFailed);
         }
 
         /**
          * Re-queues a failed job for another attempt: moves it out of
-         * `active`, resets its gate state from the retained inputs (or
-         * from the last valid checkpoint — only the gates past the cut
-         * re-execute), and stamps the backoff eligibility time. On the
-         * last permitted attempt the job is flagged run_sequential
-         * instead — the degradation ladder's isolated clean shot.
+         * `active`, restarts it on the engine from the retained inputs
+         * (resuming from the last valid checkpoint when there is one, so
+         * only the gates past the cut re-execute), and stamps the backoff
+         * eligibility time. On the last permitted attempt the job is
+         * flagged run_sequential instead — the degradation ladder's
+         * isolated clean shot.
          */
         void RequeueForRetryLocked(Job& job) {
-            JobPtr self;
-            for (size_t i = 0; i < active.size(); ++i) {
-                if (active[i].get() == &job) {
-                    self = std::move(active[i]);
-                    active.erase(active.begin() + i);
-                    break;
-                }
-            }
-            TenantDeactivatedLocked(job.tenant);
+            JobPtr self = TakeActiveLocked(job);
             ++stats.job_retries;
-            ++job.attempt;
-            job.fail_requested.store(false, std::memory_order_relaxed);
+            ++job.fault.attempt;
             job.abort_hint.store(false, std::memory_order_relaxed);
             job.failure.reset();
-            job.deadline_hit = false;
             job.stalled_attempt = false;
             job.resumed_attempt = false;
-            job.gates_since_ckpt = 0;
             job.status = JobStatus::kQueued;
-            job.remaining = job.program->NumGates();
-            if (job.attempt + 1 >= opts.retry.max_attempts) {
+            if (job.fault.attempt + 1 >= opts.retry.max_attempts) {
                 job.run_sequential = true;
-                job.degraded = true;
                 ++stats.jobs_degraded;
-                // The sequential path owns the whole job; held-back gates
-                // and the quiesce barrier are parallel-path state.
-                job.ckpt_boundary = 0;
-                job.held.clear();
-                job.ready.clear();
-            } else if (!ResumeFromCheckpointLocked(job)) {
-                // Reset the dependency-counted state for a parallel
-                // re-run in place: the value plane keeps its slab/slots
-                // (a retry re-seeds the inputs without reallocating). No
-                // worker holds gates of this job any more (remaining hit
-                // zero under the lock), so the resets are ordered before
-                // any future reader.
-                job.values.Reset(*job.program, job.inputs);
-                for (uint64_t g = 0; g < job.program->NumGates(); ++g)
-                    job.pending[g].store(job.deps.pred_count[g],
-                                         std::memory_order_relaxed);
-                job.ready = job.deps.RootGates();
-                job.held.clear();
-                if (job.ckpt_enabled) ArmBarrierLocked(job, 0);
+            } else {
+                // The plane keeps its slab, so a retry re-seeds the inputs
+                // without reallocating. No gate of this job is in flight
+                // (it drained under the lock), so the resets are ordered
+                // before any future reader.
+                this->StartAttempt(job, job.inputs);
             }
             const double backoff =
-                opts.retry.BackoffSeconds(job.seq, job.attempt);
+                opts.retry.BackoffSeconds(job.fault.job, job.fault.attempt);
             job.eligible_at =
                 backoff > 0.0
                     ? Clock::now() +
                           std::chrono::duration_cast<Clock::duration>(
                               std::chrono::duration<double>(backoff))
                     : Clock::time_point::min();
-            queued.push_back(self);
+            queued.push_back(std::move(self));
             AdmitLocked();
-            work_cv.notify_all();
+            this->work_cv.notify_all();
         }
 
-        /** Removes a finished job from `active` and admits successors. */
+        /** Removes `job` from `active` and from its tenant's active count. */
+        JobPtr TakeActiveLocked(Job& job) {
+            TenantReleaseLocked(job.tenant, &TenantLoad::active);
+            auto it = std::find_if(
+                active.begin(), active.end(),
+                [&](const JobPtr& a) { return a.get() == &job; });
+            JobPtr self = std::move(*it);
+            active.erase(it);
+            return self;
+        }
+
+        /** Finishes an active job and admits successors. */
         void FinishActiveLocked(Job& job, JobStatus status) {
-            TenantDeactivatedLocked(job.tenant);
+            const JobPtr self = TakeActiveLocked(job);
             FinishLocked(job, status);
-            for (size_t i = 0; i < active.size(); ++i) {
-                if (active[i].get() == &job) {
-                    active.erase(active.begin() + i);
-                    break;
-                }
-            }
             AdmitLocked();
         }
 
@@ -966,7 +699,7 @@ class ServingExecutor {
         /**
          * The stall watchdog (its own thread, started only when
          * stall_timeout_seconds > 0): compares each active job's progress
-         * heartbeat — bumped once per processed gate — against the last
+         * heartbeat — bumped once per retired gate — against the last
          * observation. A job whose heartbeat has not moved for the
          * timeout is flagged stalled and preempted like a transient
          * failure: fail_requested drains its remaining gates, the abort
@@ -983,10 +716,10 @@ class ServingExecutor {
                 poll = std::min(0.250, std::max(0.001, timeout / 4.0));
             const auto poll_for = std::chrono::duration_cast<
                 Clock::duration>(std::chrono::duration<double>(poll));
-            std::unique_lock<std::mutex> lock(mu);
-            while (!shutdown) {
+            std::unique_lock<std::mutex> lock(this->mu);
+            while (!this->shutdown) {
                 watchdog_cv.wait_for(lock, poll_for);
-                if (shutdown) return;
+                if (this->shutdown) return;
                 const Clock::time_point now = Clock::now();
                 for (const JobPtr& jp : active) {
                     Job& job = *jp;
@@ -1005,74 +738,42 @@ class ServingExecutor {
                                              std::memory_order_relaxed);
                     job.abort_hint.store(true, std::memory_order_relaxed);
                     job.watchdog_mark = now;
-                    ReleaseBarrierLocked(job);
-                    work_cv.notify_all();
+                    this->ReleaseBarrierLocked(job);
+                    this->work_cv.notify_all();
                 }
             }
         }
 
         /**
-         * One worker of the shared pool: pick a ready gate from any job,
-         * execute (or drain) it, propagate dependency counts, chain into
-         * at most one newly ready successor.
+         * One worker of the shared pool: admit, run a degraded attempt if
+         * one waits, else claim gates from the engine and run them.
          */
         void WorkerLoop() {
-            typename detail::WorkerScratchOf<Evaluator>::type scratch{};
-            typename detail::BatchScratchOf<Evaluator>::type batch_scratch{};
-            (void)batch_scratch;
-            std::vector<uint64_t> publish;
-            std::vector<Picked> batch;
-            const bool batching = opts.batch_size > 1;
-            std::unique_lock<std::mutex> lock(mu);
+            typename Engine<Evaluator>::Worker w;
+            std::unique_lock<std::mutex> lock(this->mu);
             while (true) {
                 // Backoff expiries do not generate notifications, so idle
                 // workers re-scan the queue and sleep only until the next
                 // job becomes eligible.
                 if (!queued.empty()) AdmitLocked();
-                if (batching) {
-                    batch.clear();
-                    if (!PickBatchLocked(&batch)) {
-                        if (shutdown && active.empty() && queued.empty())
-                            return;
-                        const Clock::time_point next = NextEligibleLocked();
-                        if (next == Clock::time_point::max()) {
-                            work_cv.wait(lock);
-                        } else {
-                            work_cv.wait_until(lock, next);
-                        }
-                        continue;
-                    }
-                    if (batch.front().gate == detail::kNoGate) {
-                        RunSequentialJob(*batch.front().job,
-                                         batch.front().attempt, lock);
-                        continue;
-                    }
-                    RunBatch(batch, scratch, batch_scratch, lock);
-                    // RunBatch returns with the lock re-held.
+                if (!sequential.empty()) {
+                    JobPtr job = std::move(sequential.front());
+                    sequential.pop_front();
+                    RunSequentialJob(*job, lock);
                     continue;
                 }
-                JobPtr job;
-                uint64_t gate = 0;
-                if (!PickLocked(&job, &gate)) {
-                    if (shutdown && active.empty() && queued.empty())
-                        return;
-                    const Clock::time_point next = NextEligibleLocked();
-                    if (next == Clock::time_point::max()) {
-                        work_cv.wait(lock);
-                    } else {
-                        work_cv.wait_until(lock, next);
-                    }
+                if (this->ClaimLocked(w)) {
+                    this->RunClaimLocked(w, lock);
                     continue;
                 }
-                const uint32_t attempt = job->attempt;
-                ++job->in_flight;
-                if (gate == detail::kNoGate) {
-                    RunSequentialJob(*job, attempt, lock);
-                    continue;
+                if (this->shutdown && active.empty() && queued.empty())
+                    return;
+                const Clock::time_point next = NextEligibleLocked();
+                if (next == Clock::time_point::max()) {
+                    this->work_cv.wait(lock);
+                } else {
+                    this->work_cv.wait_until(lock, next);
                 }
-                lock.unlock();
-                RunChain(*job, gate, attempt, scratch, publish, lock);
-                // RunChain returns with the lock re-held.
             }
         }
 
@@ -1082,30 +783,19 @@ class ServingExecutor {
          * cancel/deadline still apply (RunControl); a throw here is final
          * — by construction this is the last permitted attempt.
          */
-        void RunSequentialJob(Job& job, uint32_t attempt,
-                              std::unique_lock<std::mutex>& lock) {
+        void RunSequentialJob(Job& job, std::unique_lock<std::mutex>& lock) {
             lock.unlock();
             JobStatus status = JobStatus::kDone;
             std::optional<GateExecutionError> caught;
             std::vector<Ciphertext> outs;
             CheckpointRunStats cstats;
             try {
-                RunControl rc;
-                rc.cancel = &job.cancel_requested;
-                rc.deadline = job.deadline;
-                FaultHook hook{opts.fault_injector, job.seq, attempt};
-                // Touching job.checkpoint unlocked is safe: a
-                // run_sequential job is claimed whole and alone, so this
-                // worker is the only actor on the job until it re-locks.
-                if (opts.checkpoint.Enabled()) {
-                    outs = RunProgramCheckpointed(
-                        *job.program, *job.eval, job.inputs,
-                        opts.checkpoint, &job.checkpoint, rc, hook,
-                        &cstats);
-                } else {
-                    outs = RunProgram(*job.program, *job.eval, job.inputs,
-                                      rc, hook);
-                }
+                // Touching job.checkpoint unlocked is safe: a degraded
+                // attempt is claimed whole, so this worker is the only
+                // actor on the job until it re-locks.
+                outs = RunProgramCheckpointed(
+                    *job.program, *job.eval, job.inputs, opts.checkpoint,
+                    &job.checkpoint, job.control, job.fault, &cstats);
             } catch (const CancelledError&) {
                 status = JobStatus::kCancelled;
             } catch (const DeadlineExceededError&) {
@@ -1115,22 +805,14 @@ class ServingExecutor {
                 caught = e;
             }
             lock.lock();
-            --job.in_flight;
-            job.ckpt_taken += cstats.checkpoints_taken;
-            stats.checkpoints_taken += cstats.checkpoints_taken;
-            if (cstats.resumes > 0) {
-                job.resumed_attempt = true;
-                job.ckpt_resumes += cstats.resumes;
-                stats.checkpoint_resumes += cstats.resumes;
-                job.ckpt_gates_resumed += cstats.gates_resumed;
-                stats.gates_resumed += cstats.gates_resumed;
-            }
-            stats.checkpoints_corrupt_discarded += cstats.corrupt_discarded;
+            this->NoteCheckpointLocked(job, cstats);
+            if (cstats.resumes > 0) job.resumed_attempt = true;
             if (status == JobStatus::kDone) {
                 job.gates_executed +=
                     job.program->NumGates() - cstats.gates_resumed;
-                for (uint64_t idx = job.first_gate;
-                     idx < job.first_gate + job.program->NumGates(); ++idx)
+                const uint64_t first = job.deps.first_gate;
+                for (uint64_t idx = first;
+                     idx < first + job.program->NumGates(); ++idx)
                     if (circuit::IsLinearGate(job.program->GateAt(idx).type))
                         ++job.linear_executed;
                 job.outputs = std::move(outs);
@@ -1143,307 +825,6 @@ class ServingExecutor {
             }
             FinishActiveLocked(job, status);
         }
-
-        template <typename Scratch>
-        void RunChain(Job& job, uint64_t gate, uint32_t attempt,
-                      Scratch& scratch, std::vector<uint64_t>& publish,
-                      std::unique_lock<std::mutex>& lock) {
-            while (true) {
-                publish.clear();
-                bool skip =
-                    job.cancel_requested.load(std::memory_order_relaxed) ||
-                    job.fail_requested.load(std::memory_order_relaxed);
-                bool expired = false;
-                if (!skip && Clock::now() >= job.deadline) {
-                    expired = true;
-                    skip = true;
-                }
-                bool linear = false;
-                std::optional<GateExecutionError> caught;
-                if (!skip) {
-                    const pasm::DecodedGate g = job.program->GateAt(gate);
-                    try {
-                        if (opts.fault_injector != nullptr) {
-                            // Injected stalls shed early once the job is
-                            // being abandoned (cancel, watchdog
-                            // preemption) or its deadline passes.
-                            RunControl stall_rc;
-                            stall_rc.cancel = &job.abort_hint;
-                            stall_rc.deadline = job.deadline;
-                            opts.fault_injector->OnGate(
-                                job.seq, attempt, gate - job.first_gate,
-                                &stall_rc);
-                        }
-                        job.values.Apply(*job.eval, *job.program, gate,
-                                         scratch);
-                        linear = circuit::IsLinearGate(g.type);
-                    } catch (...) {
-                        try {
-                            RethrowAsGateError(gate - job.first_gate,
-                                               attempt);
-                        } catch (const GateExecutionError& e) {
-                            caught = e;
-                        }
-                        // Dependents of this gate skip-and-drain like a
-                        // cancellation; other jobs are untouched.
-                        job.fail_requested.store(
-                            true, std::memory_order_relaxed);
-                    }
-                }
-                // The final decrement transfers ownership of the successor's
-                // inputs to whoever saw zero, hence acq_rel.
-                uint64_t next = detail::kNoGate;
-                const auto [s, e] = job.deps.SuccessorsOf(gate);
-                for (const uint64_t* p = s; p != e; ++p) {
-                    if (job.pending[*p - job.first_gate].fetch_sub(
-                            1, std::memory_order_acq_rel) == 1) {
-                        if (next == detail::kNoGate) {
-                            next = *p;
-                        } else {
-                            publish.push_back(*p);
-                        }
-                    }
-                }
-                lock.lock();
-                if (expired) job.deadline_hit = true;
-                if (caught) {
-                    ++job.gate_failures;
-                    if (!job.failure) job.failure = std::move(caught);
-                } else if (skip) {
-                    ++job.gates_skipped;
-                } else {
-                    ++job.gates_executed;
-                    ++job.gates_since_ckpt;
-                    if (linear) ++job.linear_executed;
-                }
-                // Every processed gate (run or drained) is progress the
-                // watchdog can see and, below an armed boundary, one step
-                // toward the quiesce point.
-                ++job.progress_epoch;
-                if (job.ckpt_boundary != 0 &&
-                    job.liveness.level[gate] < job.ckpt_boundary)
-                    --job.below_remaining;
-                if (!publish.empty()) {
-                    size_t published = 0;
-                    for (uint64_t g : publish) {
-                        if (job.ckpt_boundary != 0 &&
-                            job.liveness.level[g] >= job.ckpt_boundary) {
-                            job.held.push_back(g);
-                        } else {
-                            job.ready.push_back(g);
-                            ++published;
-                        }
-                    }
-                    if (published == 1) {
-                        work_cv.notify_one();
-                    } else if (published > 1) {
-                        work_cv.notify_all();
-                    }
-                }
-                if (--job.remaining == 0) {
-                    --job.in_flight;
-                    if (job.cancel_requested.load(
-                            std::memory_order_relaxed)) {
-                        FinishActiveLocked(job, JobStatus::kCancelled);
-                    } else if (job.deadline_hit) {
-                        FinishActiveLocked(job,
-                                           JobStatus::kDeadlineExceeded);
-                    } else if (job.fail_requested.load(
-                                   std::memory_order_relaxed)) {
-                        ResolveFailureLocked(job);
-                    } else {
-                        FinishActiveLocked(job, JobStatus::kDone);
-                    }
-                    return;
-                }
-                if (next != detail::kNoGate && job.ckpt_boundary != 0 &&
-                    job.liveness.level[next] >= job.ckpt_boundary) {
-                    // The chain candidate sits beyond the armed quiesce
-                    // boundary: hold it back and drop the chain.
-                    job.held.push_back(next);
-                    next = detail::kNoGate;
-                }
-                if (next != detail::kNoGate) {
-                    // Keep the in-flight slot and chain depth-first.
-                    lock.unlock();
-                    gate = next;
-                    continue;
-                }
-                --job.in_flight;
-                MaybeCaptureLocked(job);
-                if (!job.ready.empty()) work_cv.notify_one();
-                return;
-            }
-        }
-
-        /**
-         * Executes one batch claim: per-gate skip/deadline checks and
-         * fault hooks (a faulted gate fails only its own job), one fused
-         * ApplyBatch kernel call for the batchable bootstraps, scalar
-         * evaluation for everything else, then locked bookkeeping that
-         * handles any number of jobs reaching terminal state at once.
-         * Enters unlocked work with `lock` held; returns with it re-held.
-         */
-        template <typename Scratch, typename BatchScratchT>
-        void RunBatch(std::vector<Picked>& batch, Scratch& scratch,
-                      BatchScratchT& batch_scratch,
-                      std::unique_lock<std::mutex>& lock) {
-            lock.unlock();
-            struct GateState {
-                bool skip = false;
-                bool expired = false;
-                bool linear = false;
-                bool executed = false;
-                std::optional<GateExecutionError> caught;
-            };
-            std::vector<GateState> st(batch.size());
-            std::vector<size_t> kernel;
-
-            auto run_scalar = [&](size_t i) {
-                Job& job = *batch[i].job;
-                const uint64_t gate = batch[i].gate;
-                job.values.Apply(*job.eval, *job.program, gate, scratch);
-                st[i].linear = circuit::IsLinearGate(
-                    job.program->GateAt(gate).type);
-                st[i].executed = true;
-            };
-            auto latch = [&](size_t i) {
-                Job& job = *batch[i].job;
-                try {
-                    RethrowAsGateError(batch[i].gate - job.first_gate,
-                                       batch[i].attempt);
-                } catch (const GateExecutionError& e) {
-                    st[i].caught = e;
-                }
-                job.fail_requested.store(true, std::memory_order_relaxed);
-            };
-
-            for (size_t i = 0; i < batch.size(); ++i) {
-                Job& job = *batch[i].job;
-                GateState& gs = st[i];
-                gs.skip =
-                    job.cancel_requested.load(std::memory_order_relaxed) ||
-                    job.fail_requested.load(std::memory_order_relaxed);
-                if (!gs.skip && Clock::now() >= job.deadline) {
-                    gs.expired = true;
-                    gs.skip = true;
-                }
-                if (gs.skip) continue;
-                const pasm::DecodedGate g =
-                    job.program->GateAt(batch[i].gate);
-                bool batchable = false;
-                if constexpr (detail::kSupportsApplyBatch<Evaluator>)
-                    batchable = Evaluator::Batchable(g.type);
-                try {
-                    if (opts.fault_injector != nullptr) {
-                        RunControl stall_rc;
-                        stall_rc.cancel = &job.abort_hint;
-                        stall_rc.deadline = job.deadline;
-                        opts.fault_injector->OnGate(
-                            job.seq, batch[i].attempt,
-                            batch[i].gate - job.first_gate, &stall_rc);
-                    }
-                    if (batchable) {
-                        kernel.push_back(i);
-                    } else {
-                        run_scalar(i);
-                    }
-                } catch (...) {
-                    latch(i);
-                }
-            }
-
-            if constexpr (detail::kSupportsApplyBatch<Evaluator>) {
-                if (!kernel.empty()) {
-                    std::vector<typename ValuePlane<Evaluator>::BatchItem>
-                        items(kernel.size());
-                    for (size_t k = 0; k < kernel.size(); ++k) {
-                        const Picked& p = batch[kernel[k]];
-                        items[k] = p.job->values.BatchItemFor(
-                            *p.job->program, p.gate);
-                    }
-                    try {
-                        batch.front().job->eval->ApplyBatch(
-                            items.data(),
-                            static_cast<int32_t>(items.size()),
-                            batch_scratch);
-                        for (size_t i : kernel) st[i].executed = true;
-                    } catch (...) {
-                        // Kernel failure: replay each gate scalar so the
-                        // error is attributed to the gate — and only the
-                        // job — that actually fails.
-                        for (size_t i : kernel) {
-                            try {
-                                run_scalar(i);
-                            } catch (...) {
-                                latch(i);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Dependency propagation happens lock-free (acq_rel transfers
-            // input ownership); newly ready gates are published under the
-            // lock together with all terminal transitions.
-            std::vector<std::pair<Job*, uint64_t>> publish;
-            for (const Picked& p : batch) {
-                Job& job = *p.job;
-                const auto [s, e] = job.deps.SuccessorsOf(p.gate);
-                for (const uint64_t* q = s; q != e; ++q) {
-                    if (job.pending[*q - job.first_gate].fetch_sub(
-                            1, std::memory_order_acq_rel) == 1)
-                        publish.emplace_back(&job, *q);
-                }
-            }
-
-            lock.lock();
-            for (const auto& [job, gate] : publish) {
-                if (job->ckpt_boundary != 0 &&
-                    job->liveness.level[gate] >= job->ckpt_boundary) {
-                    job->held.push_back(gate);
-                } else {
-                    job->ready.push_back(gate);
-                }
-            }
-            if (!publish.empty()) work_cv.notify_all();
-            for (size_t i = 0; i < batch.size(); ++i) {
-                Job& job = *batch[i].job;
-                if (st[i].expired) job.deadline_hit = true;
-                if (st[i].caught) {
-                    ++job.gate_failures;
-                    if (!job.failure)
-                        job.failure = std::move(st[i].caught);
-                } else if (st[i].executed) {
-                    ++job.gates_executed;
-                    ++job.gates_since_ckpt;
-                    if (st[i].linear) ++job.linear_executed;
-                } else {
-                    ++job.gates_skipped;
-                }
-                ++job.progress_epoch;
-                if (job.ckpt_boundary != 0 &&
-                    job.liveness.level[batch[i].gate] < job.ckpt_boundary)
-                    --job.below_remaining;
-                --job.in_flight;
-                if (--job.remaining == 0) {
-                    if (job.cancel_requested.load(
-                            std::memory_order_relaxed)) {
-                        FinishActiveLocked(job, JobStatus::kCancelled);
-                    } else if (job.deadline_hit) {
-                        FinishActiveLocked(job,
-                                           JobStatus::kDeadlineExceeded);
-                    } else if (job.fail_requested.load(
-                                   std::memory_order_relaxed)) {
-                        ResolveFailureLocked(job);
-                    } else {
-                        FinishActiveLocked(job, JobStatus::kDone);
-                    }
-                } else {
-                    MaybeCaptureLocked(job);
-                }
-            }
-        }
     };
 
   public:
@@ -1452,7 +833,7 @@ class ServingExecutor {
      * returned by Submit stay valid after the ServingExecutor is gone
      * (every job is terminal by then — Stop cancels stragglers).
      */
-    class Job {
+    class Job : private EngineJob<Evaluator> {
       public:
         /** Blocks until the job is terminal; returns the terminal status. */
         JobStatus Wait() {
@@ -1514,9 +895,9 @@ class ServingExecutor {
                     // error: it names why retrying stopped.
                     if (terminal_error)
                         std::rethrow_exception(terminal_error);
-                    throw failure ? *failure
-                                  : GateExecutionError(
-                                        0, 0, "job failed", false);
+                    throw this->failure ? *this->failure
+                                        : GateExecutionError(
+                                              0, 0, "job failed", false);
                 }
                 default: break;
             }
@@ -1530,7 +911,7 @@ class ServingExecutor {
         std::optional<GateExecutionError> Error() {
             (void)Wait();
             std::lock_guard<std::mutex> lock(core_->mu);
-            return failure;
+            return this->failure;
         }
 
         /** Final accounting; blocks until the job is terminal. */
@@ -1547,76 +928,37 @@ class ServingExecutor {
         Job(std::shared_ptr<Core> core,
             std::shared_ptr<const pasm::Program> p, Evaluator* e,
             const SubmitOptions& so)
-            : core_(std::move(core)),
-              program(std::move(p)),
-              eval(e),
-              deps(program->BuildGateDependencies(program->Plan())),
-              first_gate(program->FirstGateIndex()),
+            : EngineJob<Evaluator>(*p, *e, &checkpoint, core->policy),
+              core_(std::move(core)),
+              owned_program(std::move(p)),
               submit_time(Clock::now()),
-              deadline(so.deadline),
               tenant(so.tenant),
-              weight(so.weight > 0 ? so.weight : 1),
-              pin(so.pin),
-              pending(program->NumGates()),
-              remaining(program->NumGates()) {
-            for (uint64_t g = 0; g < program->NumGates(); ++g)
-                pending[g].store(deps.pred_count[g],
-                                 std::memory_order_relaxed);
-            ready = deps.RootGates();
-            if constexpr (CiphertextCodec<Ciphertext>::kSupported) {
-                if (core_->opts.checkpoint.Enabled() &&
-                    program->NumGates() > 0 &&
-                    CutValidForProgram(CheckpointCut::kLevel, *program)) {
-                    ckpt_enabled = true;
-                    fingerprint = ProgramFingerprint(*program);
-                    liveness = pasm::ComputeValueLiveness(*program);
-                    for (uint64_t idx = first_gate;
-                         idx < liveness.end_index; ++idx)
-                        max_level =
-                            std::max(max_level, liveness.level[idx]);
-                    // cum_gates[L] = gates at wave level < L; the O(1)
-                    // source of "how many gates below a boundary" the
-                    // barrier and the record's gates_completed use.
-                    std::vector<uint64_t> count(max_level + 1, 0);
-                    for (uint64_t idx = first_gate;
-                         idx < liveness.end_index; ++idx)
-                        ++count[liveness.level[idx]];
-                    cum_gates.assign(max_level + 2, 0);
-                    for (uint64_t l = 1; l <= max_level + 1; ++l)
-                        cum_gates[l] = cum_gates[l - 1] + count[l - 1];
-                    // Arm the first boundary pre-publication (no lock
-                    // needed: the job is not visible to workers yet).
-                    // Root gates all sit at level 1, below any boundary.
-                    core_->ArmBarrierLocked(*this, 0);
-                }
-            }
+              pin(so.pin) {
+            this->control.cancel = &cancel_requested;
+            this->control.deadline = so.deadline;
+            // Injected stalls shed early once the job is being abandoned
+            // (cancel, watchdog preemption, Stop) or its deadline passes.
+            stall_control.cancel = &abort_hint;
+            stall_control.deadline = so.deadline;
+            // The fault identity's job id is the submission ordinal, set
+            // at Submit; it also keys the retry jitter.
+            this->fault =
+                FaultHook{core_->opts.fault_injector, 0, 0, &stall_control};
+            this->inflight_cap = core_->opts.per_job_inflight_cap *
+                                 std::max<uint32_t>(so.weight, 1);
         }
 
         const std::shared_ptr<Core> core_;
 
         // Immutable after construction.
-        const std::shared_ptr<const pasm::Program> program;
-        Evaluator* const eval;
-        const pasm::GateDependencies deps;
-        const uint64_t first_gate;
+        const std::shared_ptr<const pasm::Program> owned_program;
         const Clock::time_point submit_time;
-        const Clock::time_point deadline;
         const uint64_t tenant;  ///< Quota bucket (0 = anonymous pool).
-        const uint32_t weight;  ///< Fairness weight, clamped >= 1.
         /** Opaque lifetime token (SubmitOptions::pin): keeps the
          *  evaluator's owning entry alive for the job's whole life. */
         const std::shared_ptr<void> pin;
 
-        // Lock-free gate state: plane slots race-free by construction
-        // (one writer per slot; plan anti-dependency edges serialize slot
-        // reuse), pending counts atomic. Retry resets happen under the
-        // lock only after remaining hit zero, so no worker can race a
-        // reset — and the plane keeps its arena, so a retry allocates
-        // nothing.
-        ValuePlane<Evaluator> values;
-        std::vector<std::atomic<uint32_t>> pending;
         std::atomic<bool> cancel_requested{false};
-        std::atomic<bool> fail_requested{false};
         /**
          * Union interrupt hint for cooperative injected-stall sleeps:
          * raised by Cancel(), the watchdog's stall preemption, and Stop;
@@ -1624,61 +966,26 @@ class ServingExecutor {
          * causes a typed abort by itself — it only shortens sleeps.
          */
         std::atomic<bool> abort_hint{false};
+        RunControl stall_control;
 
         // Guarded by core_->mu.
         JobStatus status = JobStatus::kQueued;
-        std::vector<uint64_t> ready;
-        uint32_t in_flight = 0;
-        uint64_t remaining;
         bool started = false;
-        bool deadline_hit = false;
         Clock::time_point start_time{};
-        uint64_t gates_executed = 0;
-        uint64_t gates_skipped = 0;
-        uint64_t linear_executed = 0;
         std::vector<Ciphertext> outputs;
         JobMetrics metrics;
         std::condition_variable done_cv;
         // Fault-tolerance state (guarded by core_->mu).
-        uint64_t seq = 0;      ///< Submission ordinal: the fault/jitter key.
-        uint32_t attempt = 0;  ///< 0-based execution attempt.
-        std::optional<GateExecutionError> failure;
-        uint64_t gate_failures = 0;
         /** Retained submission inputs when retries are enabled. */
         std::vector<Ciphertext> inputs;
         /** Backoff gate: AdmitLocked skips the job until this instant. */
         Clock::time_point eligible_at = Clock::time_point::min();
         bool run_sequential = false;  ///< Final attempt, isolated path.
-        bool degraded = false;
-
-        // Checkpoint state (guarded by core_->mu). ckpt_enabled is set
-        // once in the constructor: the policy is on, the program has
-        // gates, the plan admits level cuts, and the ciphertext type has
-        // a codec.
-        bool ckpt_enabled = false;
-        uint64_t fingerprint = 0;        ///< ProgramFingerprint, cached.
-        pasm::ValueLiveness liveness;    ///< Live-set facts for capture.
-        uint64_t max_level = 0;          ///< Deepest gate wave level.
-        std::vector<uint64_t> cum_gates; ///< [L] = gates at level < L.
-        /** Armed quiesce boundary (wave level); 0 = no barrier. Gates at
-         *  level >= this are held back until the capture fires. */
-        uint64_t ckpt_boundary = 0;
-        /** Unprocessed gates below the armed boundary; 0 + no in-flight
-         *  gates = the job is quiescent at the boundary. */
-        uint64_t below_remaining = 0;
-        /** Ready gates held back by the barrier (published on release). */
-        std::vector<uint64_t> held;
-        JobCheckpoint checkpoint;        ///< Last captured framed record.
-        uint64_t gates_since_ckpt = 0;   ///< For min_gates_between.
-        uint64_t ckpt_taken = 0;
-        uint64_t ckpt_resumes = 0;
-        uint64_t ckpt_gates_resumed = 0;
-        bool resumed_attempt = false;    ///< Current attempt resumed.
-        uint32_t resume_failures = 0;    ///< Failed resumed attempts.
+        JobCheckpoint checkpoint;      ///< Last captured framed record.
+        uint32_t resume_failures = 0;  ///< Failed resumed attempts.
         bool quarantined = false;
 
         // Watchdog state (guarded by core_->mu).
-        uint64_t progress_epoch = 0;   ///< Bumped per processed gate.
         uint64_t watchdog_epoch = 0;   ///< Last epoch the watchdog saw.
         Clock::time_point watchdog_mark{};  ///< When it saw it.
         bool stalled_attempt = false;  ///< Current attempt was preempted.
@@ -1735,13 +1042,14 @@ class ServingExecutor {
                                        core_->opts.max_job_arena_bytes);
         }
         JobPtr job(new Job(core_, std::move(program), &eval, options));
+        // Not yet published and its store is empty: no lock needed.
+        core_->StartAttempt(*job, inputs);
         if (core_->opts.retry.max_attempts > 1) {
             // Retain the submission inputs so a retry can re-seed the
             // value plane (and the degraded sequential attempt can run
             // straight from them).
-            job->inputs = inputs;
+            job->inputs = std::move(inputs);
         }
-        job->values.Reset(*job->program, inputs);
 
         std::lock_guard<std::mutex> lock(core_->mu);
         if (core_->shutdown)
@@ -1764,8 +1072,8 @@ class ServingExecutor {
                                       DrainEstimateLocked(tenant_pending));
             }
         }
-        core_->TenantSubmittedLocked(job->tenant);
-        job->seq = core_->stats.jobs_submitted;
+        ++core_->tenant_load[job->tenant].pending;
+        job->fault.job = core_->stats.jobs_submitted;
         ++core_->stats.jobs_submitted;
         if (job->program->NumGates() == 0) {
             // Pass-through program: outputs reference inputs directly.
@@ -1782,7 +1090,14 @@ class ServingExecutor {
     /** Consistent snapshot of the serving counters. */
     ServingStats stats() const {
         std::lock_guard<std::mutex> lock(core_->mu);
-        return core_->stats;
+        ServingStats s = core_->stats;
+        const CheckpointRunStats& c = core_->ckpt_totals;
+        s.checkpoints_taken = c.checkpoints_taken;
+        s.checkpoint_bytes = core_->ckpt_bytes_total;
+        s.checkpoint_resumes = c.resumes;
+        s.checkpoints_corrupt_discarded = c.corrupt_discarded;
+        s.gates_resumed = c.gates_resumed;
+        return s;
     }
 
     /**

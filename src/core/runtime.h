@@ -134,8 +134,8 @@ class Server {
 
     /**
      * Executes a compiled program over ciphertexts. options.num_threads >
-     * 1 runs on the server's persistent dependency-counting executor (the
-     * worker pool is shared across calls); 1 runs the sequential
+     * 1 runs on the server's persistent executor (the engine; the worker
+     * pool is shared across calls); 1 runs the sequential
      * interpreter — outputs are bit-identical either way. Throws
      * std::invalid_argument on input-count mismatch or num_threads < 1,
      * and backend::DeadlineExceededError when options.deadline_seconds
@@ -145,14 +145,6 @@ class Server {
      */
     Ciphertexts Run(const pasm::Program& program, const Ciphertexts& inputs,
                     const RunOptions& options = {});
-
-    /**
-     * Deprecated positional-argument shim; delegates to the RunOptions
-     * overload.
-     */
-    [[deprecated("pass core::RunOptions instead of a bare thread count")]]
-    Ciphertexts Run(const pasm::Program& program, const Ciphertexts& inputs,
-                    int32_t num_threads);
 
     const tfhe::GateProfile& profile() const { return gates_->profile(); }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Batch-aware dispatch tests: ReadyQueue::PopBatch semantics, executor
- * batch-vs-scalar equivalence (plain and encrypted, with exact profile
+ * Batch-aware dispatch tests: ReadyList pop order, unfusable bootstraps
+ * claimed alone, executor batch-vs-scalar equivalence (plain and encrypted, with exact profile
  * accounting), Execute batch_size plumbing and validation, serving-layer
  * batched scheduling, and fault isolation inside a fused batch (a faulted
  * gate fails only its own job). Labeled `concurrency` + `robustness`:
@@ -9,7 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "backend/execute.h"
 #include "backend/executor.h"
@@ -91,32 +94,84 @@ std::vector<bool> RandomBits(uint64_t seed, size_t count) {
     return bits;
 }
 
-TEST(ReadyQueue, PopBatchServesFifoWhilePopServesLifo) {
-    detail::ReadyQueue q({1, 2, 3, 4, 5}, 5);
-    std::vector<uint64_t> batch;
-    ASSERT_TRUE(q.PopBatch(&batch, 3));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{1, 2, 3}));
-    // Single-gate Pop keeps its stack discipline on the remainder.
-    uint64_t idx = 0;
-    ASSERT_TRUE(q.Pop(&idx));
-    EXPECT_EQ(idx, 5u);
-    // A batch larger than the backlog drains what exists.
-    ASSERT_TRUE(q.PopBatch(&batch, 8));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{4}));
-    for (int i = 0; i < 5; ++i) q.MarkDone();
-    EXPECT_FALSE(q.PopBatch(&batch, 4));
-    EXPECT_FALSE(q.Pop(&idx));
+TEST(ReadyList, BatchPopsServeFifoWhileSinglePopsServeLifo) {
+    ReadyList q;
+    q.Assign({1, 2, 3, 4, 5});
+    // A batch claim takes the oldest gates first.
+    EXPECT_EQ(q.PopFifo(), 1u);
+    EXPECT_EQ(q.PopFifo(), 2u);
+    EXPECT_EQ(q.PopFifo(), 3u);
+    // A single-gate claim keeps stack discipline on the remainder.
+    EXPECT_EQ(q.PopLifo(), 5u);
+    EXPECT_EQ(q.PopFifo(), 4u);
+    EXPECT_TRUE(q.Empty());
+    // Pushes after a drain start a fresh queue.
+    q.Push(9);
+    EXPECT_EQ(q.Front(), 9u);
+    EXPECT_EQ(q.PopLifo(), 9u);
+    EXPECT_TRUE(q.Empty());
 }
 
-TEST(ReadyQueue, PopBatchOfOneMatchesQueueOrderSemantics) {
-    // batch_size 1 uses the scalar worker (and LIFO Pop); this pins the
-    // PopBatch contract itself for max_batch == 1: FIFO, one at a time.
-    detail::ReadyQueue q({7, 8}, 2);
-    std::vector<uint64_t> batch;
-    ASSERT_TRUE(q.PopBatch(&batch, 1));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{7}));
-    ASSERT_TRUE(q.PopBatch(&batch, 1));
-    EXPECT_EQ(batch, (std::vector<uint64_t>{8}));
+TEST(ReadyList, FifoPopsKeepQueueOrderWhilePushesInterleave) {
+    // Interleaved pushes and FIFO pops keep exact queue order, and
+    // TakeAll hands back the remainder oldest first.
+    ReadyList q;
+    uint64_t next_in = 0, next_out = 0;
+    for (int round = 0; round < 1000; ++round) {
+        q.Push(next_in++);
+        q.Push(next_in++);
+        EXPECT_EQ(q.PopFifo(), next_out++);
+    }
+    const std::vector<uint64_t> rest = q.TakeAll();
+    ASSERT_EQ(rest.size(), 1000u);
+    for (uint64_t g : rest) EXPECT_EQ(g, next_out++);
+    EXPECT_TRUE(q.Empty());
+}
+
+/**
+ * A plain evaluator that records the peak number of concurrent Apply
+ * calls. It has no ApplyBatch, so every bootstrap gate is unfusable.
+ */
+struct ConcurrencyProbe {
+    using Ciphertext = bool;
+    mutable std::atomic<int32_t> active{0};
+    mutable std::atomic<int32_t> peak{0};
+
+    bool Apply(GateType t, bool a, bool b) const {
+        const int32_t now = active.fetch_add(1) + 1;
+        int32_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        if (circuit::NeedsBootstrap(t))
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        active.fetch_sub(1);
+        return circuit::EvalGate(t, a, b);
+    }
+};
+
+TEST(ExecutorBatch, UnfusableBootstrapsSpreadAcrossWorkers) {
+    // A batch claim holding gates the evaluator cannot fuse would run them
+    // one after another on one worker; each is claimed alone instead.
+    const auto program = WideProgram(16);
+    const auto in = RandomBits(3, program->NumInputs());
+    PlainEvaluator plain;
+    const auto want = RunProgram(*program, plain, in);
+
+    ConcurrencyProbe direct;
+    Executor executor;
+    EXPECT_EQ(executor.Run(*program, direct, in, 4, {}, {}, 4), want);
+    EXPECT_GE(direct.peak.load(), 2);
+
+    // One job on the serving engine, under the per-job in-flight cap.
+    ConcurrencyProbe served;
+    Executor pool;
+    ServingOptions options;
+    options.num_workers = 4;
+    options.batch_size = 4;
+    ServingExecutor<ConcurrencyProbe> serving(pool, options);
+    auto job = serving.Submit(program, served, in);
+    EXPECT_EQ(job->Outputs(), want);
+    EXPECT_GE(served.peak.load(), 2);
 }
 
 class BatchExecutorPropertyTest
@@ -158,14 +213,9 @@ TEST(ExecuteBatch, ValidatesAndRoutesBatchSize) {
     options.batch_size = -3;
     EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
 
+    // batch_size > 1 runs on the engine even single-threaded, and stays
+    // equivalent.
     options.batch_size = 4;
-    options.mode = ExecMode::kWaveBarrier;
-    options.num_threads = 2;
-    EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
-
-    // kAuto with batch_size > 1 routes through the dependency-counting
-    // executor even single-threaded, and stays equivalent.
-    options.mode = ExecMode::kAuto;
     options.num_threads = 1;
     EXPECT_EQ(Execute(p, eval, in, options), want);
     options.num_threads = 4;

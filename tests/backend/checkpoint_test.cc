@@ -3,9 +3,10 @@
  * Checkpoint/resume correctness: wire-record roundtrip and fingerprint
  * guard, a per-byte corruption + truncation sweep over the framed record
  * (a damaged checkpoint is always discarded, never restored), resume
- * bookkeeping (BuildResumeState), policy knobs, and the acceptance
- * matrix — a run killed mid-flight resumes bit-exactly on every backend
- * x thread count x batch size x memory-plan combination. Labeled
+ * bookkeeping (BuildResumeState), policy knobs, level-cut capture on
+ * threaded (engine) runs, and the acceptance matrix — a run killed
+ * mid-flight resumes bit-exactly on every thread count x batch size x
+ * memory-plan combination. Labeled
  * `concurrency` + `robustness`: run under -DPYTFHE_SANITIZE=thread.
  */
 #include "backend/checkpoint.h"
@@ -199,14 +200,12 @@ TEST(CheckpointRecord, CorruptStoreFallsBackToFullRunOnEveryPath) {
     CaptureViaFaultedRun(program, inputs, /*fault_ordinal=*/16, &pristine);
     ASSERT_FALSE(pristine.Empty());
 
-    for (const ExecMode mode :
-         {ExecMode::kSequential, ExecMode::kDependencyCounting}) {
+    for (const int32_t threads : {1, 4}) {
         JobCheckpoint corrupt = pristine;
         corrupt.record[corrupt.record.size() / 2] ^= 0x20;
         CheckpointRunStats stats;
         ExecOptions o;
-        o.mode = mode;
-        o.num_threads = mode == ExecMode::kSequential ? 1 : 4;
+        o.num_threads = threads;
         o.checkpoint_store = &corrupt;
         o.checkpoint_stats = &stats;
         EXPECT_EQ(Execute(program, eval, inputs, o), want);
@@ -309,24 +308,86 @@ TEST(CheckpointPolicyTest, MinGatesBetweenThrottlesCadence) {
     EXPECT_GT(sparse.checkpoints_taken, 0u);
 }
 
+// ------------------------------------------- capture on threaded runs
+
+TEST(ThreadedCheckpoint, EngineCapturesAndAKilledRunResumesBitExact) {
+    // Threaded runs go through the engine, which captures level cuts at
+    // its quiesce barrier; a run killed by a fault resumes from the last
+    // one and finishes bit-exact.
+    auto unplanned = pasm::Assemble(RandomNetlist(11, 5, 200));
+    ASSERT_TRUE(unplanned.has_value());
+    auto level_safe =
+        unplanned->WithPlan(pasm::ComputeMemoryPlan(*unplanned));
+    ASSERT_TRUE(level_safe.has_value());
+    ASSERT_TRUE(level_safe->Plan()->level_safe);
+    const pasm::Program& program = *level_safe;
+    PlainEvaluator eval;
+    const auto inputs = RandomBits(12, program.NumInputs());
+    const auto want = RunProgram(program, eval, inputs);
+
+    // Kill at the deepest gate, so at least one capture precedes it.
+    const std::vector<uint64_t> levels = program.ValueLevels();
+    uint64_t deepest = program.FirstGateIndex();
+    for (uint64_t idx = deepest;
+         idx < program.FirstGateIndex() + program.NumGates(); ++idx)
+        if (levels[idx] > levels[deepest]) deepest = idx;
+    ASSERT_GT(levels[deepest], 4u);
+
+    CheckpointPolicy policy;
+    policy.every_n_levels = 2;
+    for (const int32_t batch : {1, 4}) {
+        ExecOptions o;
+        o.num_threads = 4;
+        o.batch_size = batch;
+        o.checkpoint = policy;
+
+        JobCheckpoint store;
+        CheckpointRunStats stats;
+        o.checkpoint_store = &store;
+        o.checkpoint_stats = &stats;
+        EXPECT_EQ(Execute(program, eval, inputs, o), want) << batch;
+        EXPECT_GE(stats.checkpoints_taken, 1u) << batch;
+        ASSERT_FALSE(store.Empty()) << batch;
+        const auto decoded = DecodeCheckpoint<bool>(
+            store.record, ProgramFingerprint(program),
+            program.FirstGateIndex() + program.NumGates());
+        ASSERT_TRUE(decoded.has_value()) << batch;
+        EXPECT_EQ(decoded->cut, CheckpointCut::kLevel) << batch;
+
+        FaultPlan plan;
+        plan.fault_every_nth_job = 1;
+        plan.fault_gate_ordinal = deepest - program.FirstGateIndex();
+        FaultInjector injector(plan);
+        JobCheckpoint killed;
+        CheckpointRunStats kill_stats;
+        o.checkpoint_store = &killed;
+        o.checkpoint_stats = &kill_stats;
+        o.fault = FaultHook{&injector, 0, 0};
+        EXPECT_THROW(Execute(program, eval, inputs, o), GateExecutionError)
+            << batch;
+        ASSERT_FALSE(killed.Empty()) << batch;
+        EXPECT_GE(kill_stats.checkpoints_taken, 1u) << batch;
+
+        // The transient fault clears on attempt 1, which resumes.
+        o.fault = FaultHook{&injector, 0, 1};
+        EXPECT_EQ(Execute(program, eval, inputs, o), want) << batch;
+        EXPECT_EQ(kill_stats.resumes, 1u) << batch;
+        EXPECT_GT(kill_stats.gates_resumed, 0u) << batch;
+        EXPECT_EQ(kill_stats.corrupt_discarded, 0u) << batch;
+    }
+}
+
 // ------------------------------------------------- acceptance: the matrix
 
-/** Resume configurations: every backend x threads x batch. */
+/** Resume configurations: threads x batch through Execute. */
 std::vector<ExecOptions> ResumeConfigs() {
     std::vector<ExecOptions> configs;
-    ExecOptions seq;
-    configs.push_back(seq);
-    ExecOptions wave;
-    wave.mode = ExecMode::kWaveBarrier;
-    wave.num_threads = 4;
-    configs.push_back(wave);
     for (const int32_t threads : {1, 4}) {
         for (const int32_t batch : {1, 4}) {
-            ExecOptions dep;
-            dep.mode = ExecMode::kDependencyCounting;
-            dep.num_threads = threads;
-            dep.batch_size = batch;
-            configs.push_back(dep);
+            ExecOptions o;
+            o.num_threads = threads;
+            o.batch_size = batch;
+            configs.push_back(o);
         }
     }
     return configs;
@@ -385,16 +446,24 @@ TEST_P(KillAndResumeTest, EveryBackendThreadsBatchPlanIsBitExact) {
             o.checkpoint_store = &copy;
             o.checkpoint_stats = &stats;
             EXPECT_EQ(Execute(program, eval, inputs, o), want)
-                << names[v] << " mode=" << int(o.mode)
-                << " threads=" << o.num_threads
+                << names[v] << " threads=" << o.num_threads
                 << " batch=" << o.batch_size;
             EXPECT_EQ(stats.resumes, 1u)
-                << names[v] << " mode=" << int(o.mode)
-                << " threads=" << o.num_threads
+                << names[v] << " threads=" << o.num_threads
                 << " batch=" << o.batch_size;
             EXPECT_GT(stats.gates_resumed, 0u) << names[v];
             EXPECT_EQ(stats.corrupt_discarded, 0u) << names[v];
         }
+        // One thread, one gate per claim, on the engine itself (Execute
+        // sends that configuration to the sequential interpreter).
+        JobCheckpoint copy = store;
+        CheckpointRunStats stats;
+        Executor executor;
+        EXPECT_EQ(executor.Run(program, eval, inputs, 1, {}, {}, 1, {},
+                               &copy, &stats),
+                  want)
+            << names[v] << " engine at one thread";
+        EXPECT_EQ(stats.resumes, 1u) << names[v];
     }
 }
 

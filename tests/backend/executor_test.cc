@@ -1,8 +1,8 @@
 /**
  * @file
- * Dependency-counting executor tests: equivalence against the sequential
- * interpreter and the wave-barrier path on plaintext and encrypted
- * circuits, exact profile accounting under concurrency, argument
+ * Executor tests (the engine running one job): equivalence against the
+ * sequential interpreter and the benchmarks' wave-barrier baseline on
+ * plaintext and encrypted circuits, exact profile accounting under concurrency, argument
  * validation, and pool persistence across runs. Run under
  * -DPYTFHE_SANITIZE=thread (ctest -L concurrency) to prove race freedom.
  */
@@ -12,7 +12,7 @@
 #include <random>
 
 #include "backend/execute.h"
-
+#include "bench_util.h"
 #include "hdl/word_ops.h"
 #include "pasm/assembler.h"
 
@@ -72,7 +72,7 @@ TEST_P(ExecutorPropertyTest, MatchesSequentialAndWavePathOnPlainBits) {
         const auto want = RunProgram(*p, eval, in);
         EXPECT_EQ(executor.Run(*p, eval, in, threads), want)
             << "threads=" << threads;
-        EXPECT_EQ(RunProgramThreaded(*p, eval, in, threads), want)
+        EXPECT_EQ(bench::RunProgramThreaded(*p, eval, in, threads), want)
             << "threads=" << threads;
     }
 }
@@ -135,7 +135,7 @@ TEST(Executor, RejectsBadArguments) {
     EXPECT_THROW((void)executor.Run(p, eval, right, -4),
                  std::invalid_argument);
     EXPECT_THROW((void)RunProgram(p, eval, too_few), std::invalid_argument);
-    EXPECT_THROW((void)RunProgramThreaded(p, eval, right, 0),
+    EXPECT_THROW((void)executor.Run(p, eval, right, 2, {}, {}, 0),
                  std::invalid_argument);
 }
 
@@ -185,38 +185,22 @@ TEST(Execute, DispatcherSelectsEquivalentPaths) {
     for (size_t i = 0; i < in.size(); ++i) in[i] = rng() & 1;
     const auto want = RunProgram(p, eval, in);
 
-    for (ExecMode mode : {ExecMode::kAuto, ExecMode::kSequential,
-                          ExecMode::kWaveBarrier,
-                          ExecMode::kDependencyCounting}) {
-        for (int32_t threads : {1, 4}) {
-            if (mode == ExecMode::kSequential && threads != 1) continue;
+    for (int32_t threads : {1, 4}) {
+        for (int32_t batch : {1, 4}) {
             ExecOptions options;
-            options.mode = mode;
             options.num_threads = threads;
+            options.batch_size = batch;
             EXPECT_EQ(Execute(p, eval, in, options), want)
-                << "mode=" << static_cast<int>(mode)
-                << " threads=" << threads;
+                << "threads=" << threads << " batch=" << batch;
             // And again through a caller-owned persistent executor.
             options.executor = &executor;
             EXPECT_EQ(Execute(p, eval, in, options), want)
-                << "persistent, mode=" << static_cast<int>(mode);
+                << "persistent, threads=" << threads << " batch=" << batch;
         }
     }
 }
 
-TEST(Execute, WaveBarrierRejectsRunControl) {
-    const auto p = AdderProgram();
-    PlainEvaluator eval;
-    const std::vector<bool> in(16, false);
-    ExecOptions options;
-    options.mode = ExecMode::kWaveBarrier;
-    options.num_threads = 2;
-    options.control.deadline = std::chrono::steady_clock::now() +
-                               std::chrono::hours(1);
-    EXPECT_THROW((void)Execute(p, eval, in, options), std::invalid_argument);
-}
-
-/** Encrypted equivalence across all three execution paths. */
+/** Encrypted equivalence across the sequential, engine and wave paths. */
 class EncryptedExecutorTest : public ::testing::Test {
   protected:
     EncryptedExecutorTest()
@@ -269,8 +253,9 @@ TEST_F(EncryptedExecutorTest, AdderEquivalentAcrossAllPathsWithExactProfile) {
             << "executor threads=" << threads;
 
         gates_.profile().Reset();
-        EXPECT_EQ(Decrypt(RunProgramThreaded(p, eval_, inputs, threads)),
-                  want)
+        EXPECT_EQ(
+            Decrypt(bench::RunProgramThreaded(p, eval_, inputs, threads)),
+            want)
             << "wave threads=" << threads;
         EXPECT_EQ(gates_.profile().bootstrap_count(), expected_bootstraps)
             << "wave threads=" << threads;

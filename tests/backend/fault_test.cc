@@ -17,10 +17,12 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "backend/execute.h"
 #include "backend/executor.h"
 #include "backend/interpreter.h"
+#include "bench_util.h"
 #include "pasm/assembler.h"
 
 namespace pytfhe::backend {
@@ -291,18 +293,18 @@ TEST(FaultPaths, ExecutorFailsRunButPoolSurvives) {
 }
 
 TEST(FaultPaths, WaveBarrierPathThrowsAndJoins) {
+    // The benchmarks' Algorithm-1 baseline fails cleanly too: the wave in
+    // flight joins and the first gate error surfaces typed.
     const auto program = WideProgram(16);
-    PlainEvaluator eval;
+    ThrowingEvaluator eval;
+    eval.throw_at = 5;
     const auto inputs = RandomBits(4, program->NumInputs());
-    FaultPlan plan;
-    plan.gate_fault_rate = 0.3;
-    FaultInjector inj(plan);
-    EXPECT_THROW(RunProgramThreaded(*program, eval, inputs, 4,
-                                    FaultHook{&inj, 0, 0}),
+    EXPECT_THROW(bench::RunProgramThreaded(*program, eval, inputs, 4),
                  GateExecutionError);
     // Fault-free rerun still works and matches the reference.
-    EXPECT_EQ(RunProgramThreaded(*program, eval, inputs, 4),
-              RunProgram(*program, eval, inputs));
+    PlainEvaluator plain;
+    EXPECT_EQ(bench::RunProgramThreaded(*program, plain, inputs, 4),
+              RunProgram(*program, plain, inputs));
 }
 
 TEST(FaultPaths, ExecuteForwardsFaultHookOnEveryPath) {
@@ -312,15 +314,16 @@ TEST(FaultPaths, ExecuteForwardsFaultHookOnEveryPath) {
     FaultPlan plan;
     plan.fault_every_nth_job = 1;
     FaultInjector inj(plan);
-    for (ExecMode mode : {ExecMode::kSequential, ExecMode::kWaveBarrier,
-                          ExecMode::kDependencyCounting}) {
+    // Sequential, engine, and engine with batched claims.
+    for (const auto& [threads, batch] :
+         {std::pair{1, 1}, std::pair{2, 1}, std::pair{2, 4}}) {
         ExecOptions options;
-        options.mode = mode;
-        options.num_threads = 2;
+        options.num_threads = threads;
+        options.batch_size = batch;
         options.fault = FaultHook{&inj, inj.NextRunId(), 0};
         EXPECT_THROW(Execute(*program, eval, inputs, options),
                      GateExecutionError)
-            << static_cast<int>(mode);
+            << "threads=" << threads << " batch=" << batch;
     }
 }
 
@@ -353,7 +356,6 @@ TEST(FaultInjector, InjectedStallShedsOnCancel) {
 
     std::atomic<bool> cancel{false};
     ExecOptions options;
-    options.mode = ExecMode::kDependencyCounting;
     options.num_threads = 2;
     options.control.cancel = &cancel;
     options.fault.injector = &inj;
@@ -384,7 +386,6 @@ TEST(FaultInjector, InjectedStallShedsOnDeadline) {
     FaultInjector inj(plan);
 
     ExecOptions options;
-    options.mode = ExecMode::kSequential;
     options.control.deadline = std::chrono::steady_clock::now() +
                                std::chrono::milliseconds(100);
     options.fault.injector = &inj;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Memory-planned execution equivalence: a planned program is bit-exact
- * with its unplanned form on every backend — sequential, wave-barrier,
- * dependency-counting (1 and 4 threads), batched dispatch (B=4/8), and
+ * with its unplanned form on every backend — sequential, the engine (1
+ * and 4 threads), batched claims (B=4/8), and
  * the serving runtime under fault-injected retries — for both the
  * plaintext plane and the arena-backed TFHE plane. Plus the serving-side
  * arena contracts: the per-job byte budget (ArenaBudgetError at Submit)
@@ -66,16 +66,9 @@ Variants Plan(const Netlist& n) {
 /** Every dispatcher configuration a plan must survive. */
 std::vector<ExecOptions> AllConfigs() {
     std::vector<ExecOptions> configs;
-    ExecOptions seq;
-    configs.push_back(seq);
-    ExecOptions wave;
-    wave.mode = ExecMode::kWaveBarrier;
-    wave.num_threads = 4;
-    configs.push_back(wave);
     for (const int32_t threads : {1, 4}) {
         for (const int32_t batch : {1, 4, 8}) {
             ExecOptions dep;
-            dep.mode = ExecMode::kDependencyCounting;
             dep.num_threads = threads;
             dep.batch_size = batch;
             configs.push_back(dep);
@@ -231,12 +224,11 @@ TEST_F(PlannedTfheTest, ArenaPlaneMatchesPlainOnEveryBackend) {
             << "level-safe plan, threads=" << o.num_threads
             << " batch=" << o.batch_size;
     }
-    // The tight plan permits in-place gates; cover it on the paths that
-    // honor it (sequential + dependency counting with anti-edges).
+    // The tight plan permits in-place gates; the sequential path and the
+    // engine (anti-dependency edges) both honor it.
     ExecOptions seq;
     EXPECT_EQ(Decrypt(Execute(v.tight, eval_, Encrypt(in), seq)), want);
     ExecOptions dep;
-    dep.mode = ExecMode::kDependencyCounting;
     dep.num_threads = 4;
     dep.batch_size = 4;
     EXPECT_EQ(Decrypt(Execute(v.tight, eval_, Encrypt(in), dep)), want);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Encrypted LUT-gate execution across every backend path: sequential
- * interpreter, dependency-counting executor, wave-barrier mode, batched
- * dispatch (LUT gates take the scalar lane of a batch-enabled run), each
+ * interpreter and the engine at 1-4 threads, with and without batched
+ * claims (a LUT gate is claimed alone and takes the scalar lane), each
  * with and without a memory plan — all bit-exact against the plain
  * reference under toy multibit parameters. Also the functional planes:
  * PlainEvaluator interprets LUT digits, CountingEvaluator charges one
@@ -119,9 +119,9 @@ TEST_F(MultibitExecTest, EncryptedAcrossEveryBackendConfiguration) {
     ExecOptions seq;
     ExecOptions dep4;
     dep4.num_threads = 4;
-    ExecOptions wave3;
-    wave3.num_threads = 3;
-    wave3.mode = ExecMode::kWaveBarrier;
+    ExecOptions batch4x4;
+    batch4x4.num_threads = 4;
+    batch4x4.batch_size = 4;
     ExecOptions batch4;
     batch4.num_threads = 2;
     batch4.batch_size = 4;
@@ -130,7 +130,7 @@ TEST_F(MultibitExecTest, EncryptedAcrossEveryBackendConfiguration) {
     batch8.batch_size = 8;
     const Config configs[] = {
         {"seq", false, seq},           {"dep4", false, dep4},
-        {"wave3", false, wave3},       {"batch4", false, batch4},
+        {"batch4x4", false, batch4x4}, {"batch4", false, batch4},
         {"batch8", false, batch8},     {"seq+plan", true, seq},
         {"dep4+plan", true, dep4},     {"batch8+plan", true, batch8},
     };

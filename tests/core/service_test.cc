@@ -3,9 +3,8 @@
  * core::Service tests: the multi-tenant serving runtime end to end under
  * real (toy-parameter) encryption — tenant key registry, concurrent
  * submissions from many clients with bit-exact results, typed rejection
- * paths, and the redesigned Server::Run(RunOptions) API (deadline,
- * profiling, deprecated positional shim). Labeled `concurrency` for the
- * -DPYTFHE_SANITIZE=thread job.
+ * paths, and the Server::Run(RunOptions) API (deadline, profiling).
+ * Labeled `concurrency` for the -DPYTFHE_SANITIZE=thread job.
  */
 #include "core/service.h"
 
@@ -255,19 +254,6 @@ TEST(Runtime, ProfileToggleRecordsPerRunDelta) {
               first.bootstrap_count);
     EXPECT_GT(server->profile().bootstrap_count(),
               first.bootstrap_count);
-}
-
-TEST(Runtime, DeprecatedPositionalRunStillWorks) {
-    auto compiled = Compile(AdderNetlist());
-    ASSERT_TRUE(compiled.has_value());
-    Client client(tfhe::ToyParams(), 54);
-    auto server = client.MakeServer();
-    const Ciphertexts in = client.EncryptValues(DType::UInt(8), {30, 12});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const Ciphertexts out = server->Run(compiled->program, in, 2);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(client.DecryptValue(DType::UInt(8), out), 42);
 }
 
 }  // namespace

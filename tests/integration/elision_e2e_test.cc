@@ -2,8 +2,8 @@
  * @file
  * End-to-end acceptance for bootstrap elision: the same HDL netlist
  * compiled with and without the pass, executed under real encryption on
- * every backend path (sequential interpreter, wave-threaded interpreter,
- * dependency-counting executor), must decrypt to identical results on
+ * every backend path (sequential interpreter, the engine with and without
+ * batched claims), must decrypt to identical results on
  * randomized encrypted inputs.
  */
 #include <gtest/gtest.h>
@@ -85,10 +85,10 @@ class ElisionE2eTest : public ::testing::Test {
             EXPECT_EQ(Decrypt(backend::RunProgram(elided->program, eval, enc)),
                       want)
                 << "elided sequential, trial " << t;
-            EXPECT_EQ(Decrypt(backend::RunProgramThreaded(elided->program,
-                                                          eval, enc, 4)),
+            EXPECT_EQ(Decrypt(executor.Run(elided->program, eval, enc, 4,
+                                           {}, {}, /*batch_size=*/4)),
                       want)
-                << "elided threaded, trial " << t;
+                << "elided batched executor, trial " << t;
             EXPECT_EQ(Decrypt(executor.Run(elided->program, eval, enc, 4)),
                       want)
                 << "elided executor, trial " << t;
